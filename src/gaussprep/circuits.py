@@ -146,7 +146,7 @@ class PruningPolicy:
         if self.delta == 0.0:
             return None
         d = 0
-        while self.keeps(math.pi / 2.0 ** (d + 1)):
+        while self.keeps(math.ldexp(math.pi, -(d + 1))):
             d += 1
         return d
 
@@ -226,7 +226,9 @@ def build_qft(n: int, policy: PruningPolicy = PruningPolicy(0.0)) -> Circuit:
     for target in range(n - 1, -1, -1):
         gates.append(h(target))
         for d in range(1, target + 1):
-            phi = math.pi / 2.0**d
+            # Unlike pi / 2.0**d, ldexp does not overflow for d >= 1024; the
+            # two agree exactly for smaller d.
+            phi = math.ldexp(math.pi, -d)
             if policy.keeps(phi):
                 gates.append(cphase(target, target - d, phi))
     for i in range(n // 2):
@@ -260,7 +262,7 @@ def kept_cphase_count(n: int, policy: PruningPolicy) -> int:
     of (n - d)."""
     count = 0
     for d in range(1, n):
-        if policy.keeps(math.pi / 2.0**d):
+        if policy.keeps(math.ldexp(math.pi, -d)):
             count += n - d
     return count
 

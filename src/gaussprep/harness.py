@@ -391,8 +391,10 @@ def calibrate_beta(decay_rate: float, n: int, delta: float = 0.0) -> Calibration
     distribution over beta in [0.01, 10].
 
     Coarse geometric grid first, then golden-section refinement of the
-    bracketing interval. With delta = 0 each evaluation uses the closed-form
-    output probabilities; pruned variants fall back to gate-level simulation.
+    bracketing interval. The grid is evaluated once: its diagnostics give
+    the search values and are returned as `table`. With delta = 0 each
+    evaluation uses the closed-form output probabilities; pruned variants
+    fall back to gate-level simulation.
     """
     if not (decay_rate > 0.0 and math.isfinite(decay_rate)):
         raise ValueError(
@@ -411,11 +413,23 @@ def calibrate_beta(decay_rate: float, n: int, delta: float = 0.0) -> Calibration
         state, _, _ = _prepare_state(n, spec, delta, beta)
         return state_probabilities(state)
 
+    def smoothed_kl(probs: np.ndarray) -> float:
+        return kl_divergence(target.probabilities, laplace_smooth(probs, SMOOTHING_EPS))
+
     def objective(beta: float) -> float:
-        return kl_divergence(target.probabilities, laplace_smooth(prepared_probs(beta), SMOOTHING_EPS))
+        return smoothed_kl(prepared_probs(beta))
+
+    def diagnostic(beta: float) -> BetaDiagnostic:
+        probs = prepared_probs(beta)
+        return BetaDiagnostic(
+            beta=beta,
+            kl=smoothed_kl(probs),
+            fidelity=distribution_fidelity(target.probabilities, probs),
+        )
 
     grid = np.geomspace(BETA_SEARCH_LO, BETA_SEARCH_HI, BETA_SEARCH_GRID)
-    values = [objective(float(b)) for b in grid]
+    table = tuple(diagnostic(float(b)) for b in grid)
+    values = [diag.kl for diag in table]
     best_index = int(np.argmin(values))
     if best_index == 0 or best_index == len(grid) - 1:
         raise ValueError(
@@ -438,15 +452,6 @@ def calibrate_beta(decay_rate: float, n: int, delta: float = 0.0) -> Calibration
             d = lo + invphi * (hi - lo)
             fd = objective(d)
     best_beta = (lo + hi) / 2.0
-
-    def diagnostic(beta: float) -> BetaDiagnostic:
-        probs = prepared_probs(beta)
-        return BetaDiagnostic(
-            beta=beta,
-            kl=kl_divergence(target.probabilities, laplace_smooth(probs, SMOOTHING_EPS)),
-            fidelity=distribution_fidelity(target.probabilities, probs),
-        )
-
     best = diagnostic(best_beta)
     return CalibrationResult(
         n=n,
@@ -456,7 +461,7 @@ def calibrate_beta(decay_rate: float, n: int, delta: float = 0.0) -> Calibration
         best_kl=best.kl,
         best_fidelity=best.fidelity,
         candidates=tuple(diagnostic(b) for b in CANDIDATE_BETAS),
-        table=tuple(diagnostic(float(b)) for b in grid),
+        table=table,
     )
 
 

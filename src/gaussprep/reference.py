@@ -126,16 +126,24 @@ def closed_form_probabilities(n: int, beta: float, msb_flipped: bool = False) ->
 
     With msb_flipped the index m is XORed with 2^(n-1), accounting for the
     alignment X on the highest qubit.
+
+    Every cosine is an entry of one table cos(2*pi*k/2^n), k in [0, 2^n):
+    factor j reads it at k = m*2^j mod 2^n, i.e. at stride 2^j, and so
+    repeats with period 2^(n-j) in m. Viewing probs as 2^j rows of that
+    period applies each factor as one broadcast multiply. The factors are
+    multiplied in the order j = 0..n-1, so the result is bit-identical to
+    evaluating the product index by index. No gate kernel and no FFT is
+    involved.
     """
     if n < 1 or n > MAX_ORACLE_QUBITS:
         raise ValueError(f"qubit count must be in [1, {MAX_ORACLE_QUBITS}], got {n}")
     dim = 1 << n
-    m = np.arange(dim, dtype=np.int64)
+    table = np.cos(2.0 * np.pi * np.arange(dim) / dim)
     probs = np.full(dim, 1.0 / dim)
     for j in range(n):
         theta = rotation_angle(j, beta)
-        phase_index = (m << j) % dim  # exact: m * 2**j mod 2**n in int64
-        probs *= 1.0 + math.sin(theta) * np.cos(2.0 * np.pi * phase_index / dim)
+        probs.reshape(1 << j, -1)[...] *= 1.0 + math.sin(theta) * table[:: 1 << j]
     if msb_flipped:
-        probs = probs[m ^ (dim >> 1)]
+        # XOR with 2^(n-1) swaps the two halves of the index range.
+        probs = probs.reshape(2, -1)[::-1].reshape(-1)
     return probs

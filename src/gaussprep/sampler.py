@@ -80,6 +80,9 @@ def sample_counts(
     cdf = np.cumsum(probs)
     cdf[-1] = 1.0
     draws = rng.random(shots)
+    # Sorted queries walk the CDF in order, which keeps the lookup in cache;
+    # bincount below ignores their order, so the counts do not change.
+    draws.sort()
     indices = np.searchsorted(cdf, draws, side="right")
     indices = np.minimum(indices, probs.size - 1)
     counts = np.bincount(indices, minlength=probs.size).astype(np.int64)

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from hypothesis import HealthCheck, settings
 
-from gaussprep import Circuit, StateVector, apply_circuit, new_zero_state
+from gaussprep import Circuit, StateVector, apply_circuit, new_zero_state, rotation_angle
 
 settings.register_profile(
     "package",
@@ -32,6 +34,24 @@ def circuit_matrix(circuit: Circuit) -> np.ndarray:
         apply_circuit(state, circuit)
         matrix[:, j] = state.amplitudes
     return matrix
+
+
+def literal_closed_form_probabilities(
+    n: int, beta: float, msb_flipped: bool = False
+) -> np.ndarray:
+    """The closed form evaluated index by index, one full-length cosine pass
+    per factor: the reference that the periodic evaluation in
+    gaussprep.reference must match bit for bit."""
+    dim = 1 << n
+    m = np.arange(dim, dtype=np.int64)
+    probs = np.full(dim, 1.0 / dim)
+    for j in range(n):
+        theta = rotation_angle(j, beta)
+        phase_index = (m << j) % dim  # exact: m * 2**j mod 2**n in int64
+        probs *= 1.0 + math.sin(theta) * np.cos(2.0 * np.pi * phase_index / dim)
+    if msb_flipped:
+        probs = probs[m ^ (dim >> 1)]
+    return probs
 
 
 def random_normalized_amplitudes(rng: np.random.Generator, dim: int) -> np.ndarray:

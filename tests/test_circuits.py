@@ -157,6 +157,10 @@ class TestPruningPolicy:
     def test_default_threshold_reaches_distance_seven(self):
         assert PruningPolicy(0.0123).max_distance == 7
 
+    def test_subnormal_threshold_reaches_past_distance_1024(self):
+        # pi * 2**-1074 rounds to the subnormal 1.5e-323; pi * 2**-1075 to 1e-323
+        assert PruningPolicy(1.5e-323).max_distance == 1074
+
     def test_negative_delta_rejected(self):
         with pytest.raises(ValueError):
             PruningPolicy(-0.1)
@@ -194,6 +198,11 @@ class TestBuildQft:
     def test_synthesis_cap(self):
         with pytest.raises(ValueError):
             build_qft(MAX_SYNTH_QUBITS + 1)
+
+    def test_kept_count_at_the_synthesis_cap(self):
+        # distances past 1023 neither overflow nor get pruned at delta = 0
+        n = MAX_SYNTH_QUBITS
+        assert kept_cphase_count(n, PruningPolicy(0.0)) == full_cphase_count(n)
 
     @given(
         st.integers(min_value=1, max_value=16),

@@ -192,6 +192,19 @@ class TestExportQasm:
         out = capsys.readouterr().out
         assert "qreg q[30];" in out
 
+    def test_beyond_1024_qubits_exits_zero(self, capsys):
+        # pi/2**d overflowed for d >= 1024; ldexp underflows gracefully
+        n = 1100
+        assert main(["export-qasm", "-n", str(n)]) == 0
+        body = capsys.readouterr().out.splitlines()[3:]
+        # n ry + n h + kept cu1 (distances 1..7 at the default delta)
+        # + floor(n/2) swap + 1 x
+        assert len(body) == n + n + sum(n - d for d in range(1, 8)) + n // 2 + 1
+
+    def test_synthesis_cap_is_a_runtime_error(self, capsys):
+        assert main(["export-qasm", "-n", "4097"]) == 2
+        assert "synthesis cap 4096" in capsys.readouterr().err
+
     def test_pruning_shrinks_the_program(self, capsys):
         assert main(["export-qasm", "-n", "12", "--delta", "0"]) == 0
         full = capsys.readouterr().out.count("cu1(")

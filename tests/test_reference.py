@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import simulate
+from conftest import literal_closed_form_probabilities, simulate
 from gaussprep import (
     GaussianSpec,
     PruningPolicy,
@@ -183,6 +183,16 @@ class TestClosedFormProbabilities:
         probs = closed_form_probabilities(n, beta, msb_flipped=True)
         m = np.arange(1, 2**n)
         np.testing.assert_allclose(probs[m], probs[(2**n - m) % 2**n], atol=1e-12)
+
+    @pytest.mark.parametrize("msb_flipped", [False, True])
+    @pytest.mark.parametrize("beta", [0.01, 0.3, 1.7, 9.9])
+    def test_bit_identical_to_literal_evaluation(self, beta, msb_flipped):
+        for n in range(1, 17):
+            np.testing.assert_array_equal(
+                closed_form_probabilities(n, beta, msb_flipped),
+                literal_closed_form_probabilities(n, beta, msb_flipped),
+                err_msg=f"n={n}",
+            )
 
     @pytest.mark.parametrize("n", [1, 4, 8, 12])
     def test_normalization(self, n):

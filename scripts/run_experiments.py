@@ -16,13 +16,16 @@ from __future__ import annotations
 import argparse
 import json
 import os
+from pathlib import Path
 
 from gaussprep import SweepConfig, calibrate_beta, run_prepare, run_sweep, sample_counts
 from gaussprep.harness import (
-    calibration_as_dict,
-    write_calibration_csv,
-    write_distribution_csv,
-    write_histogram_csv,
+    SWEEP_COLUMNS,
+    calibration_summary,
+    calibration_table,
+    distribution_table,
+    histogram_table,
+    table_text,
 )
 
 SWEEP_QUBITS = tuple(range(2, 13))
@@ -50,15 +53,18 @@ def main() -> int:
     def path(name: str) -> str:
         return os.path.join(args.outdir, name)
 
+    def write(name: str, table) -> None:
+        Path(path(name)).write_text(table_text(*table, "csv"), encoding="utf-8", newline="")
+
     print(f"sweep: n in {SWEEP_QUBITS}, delta in {SWEEP_DELTAS}")
     rows = run_sweep(
         SweepConfig(
             n_values=SWEEP_QUBITS,
             delta_values=SWEEP_DELTAS,
             decay_rate=args.decay_rate,
-            out_path=path("sweep.csv"),
         )
     )
+    write("sweep.csv", (SWEEP_COLUMNS, rows))
     failed = [row for row in rows if row.error is not None]
     print(f"  wrote {len(rows)} rows to {path('sweep.csv')}"
           + (f" ({len(failed)} failed)" if failed else ""))
@@ -70,9 +76,9 @@ def main() -> int:
             delta_values=(0.0123,),
             decay_rate=args.decay_rate,
             include_baseline=True,
-            out_path=path("cost_comparison.csv"),
         )
     )
+    write("cost_comparison.csv", (SWEEP_COLUMNS, rows))
     for n in BASELINE_QUBITS:
         gaussian = next(r for r in rows if r.n == n and r.method == "gaussian")
         baseline = next(r for r in rows if r.n == n and r.method == "baseline")
@@ -81,20 +87,18 @@ def main() -> int:
 
     for n in CALIBRATION_QUBITS:
         result = calibrate_beta(args.decay_rate, n)
-        write_calibration_csv(result, path(f"calibration_n{n}.csv"))
-        summary = calibration_as_dict(result)
-        del summary["table"]
-        print(f"calibration n={n}: {json.dumps(summary)}")
+        write(f"calibration_n{n}.csv", calibration_table(result))
+        print(f"calibration n={n}: {json.dumps(calibration_summary(result))}")
 
     result = run_prepare(8, decay_rate=args.decay_rate, delta=0.0,
                          beta_mode=calibrate_beta(args.decay_rate, 8).best_beta)
-    write_distribution_csv(result, path("distribution_n8.csv"))
+    write("distribution_n8.csv", distribution_table(result))
     print(f"distribution dump: fidelity {result.report.fidelity:.6f}, "
           f"mse {result.report.mse_amplitude:.3e} -> {path('distribution_n8.csv')}")
 
     result = run_prepare(SAMPLE_QUBITS, decay_rate=args.decay_rate)
     histogram = sample_counts(result.prepared_probabilities, SAMPLE_SHOTS, SAMPLE_SEED)
-    write_histogram_csv(result, histogram.counts, histogram.shots, path("histogram_n5.csv"))
+    write("histogram_n5.csv", histogram_table(result, histogram))
     print(f"sampling dump: {SAMPLE_SHOTS} shots, seed {SAMPLE_SEED} "
           f"-> {path('histogram_n5.csv')}")
     return 0

@@ -136,20 +136,6 @@ class PruningPolicy:
     def keeps(self, phi: float) -> bool:
         return phi >= self.delta
 
-    @property
-    def max_distance(self) -> int | None:
-        """Largest bit-distance d with pi/2**d >= delta.
-
-        None means unbounded (delta = 0). 0 means even distance-1 gates
-        (angle pi/2) are pruned.
-        """
-        if self.delta == 0.0:
-            return None
-        d = 0
-        while self.keeps(math.ldexp(math.pi, -(d + 1))):
-            d += 1
-        return d
-
 
 @dataclass(frozen=True)
 class GateInventory:

@@ -6,41 +6,37 @@ sample (seeded shot sampling), export-qasm (OpenQASM 2.0 serialization).
 
 Exit codes: 0 success, 1 usage error (bad flags/values rejected by the
 parser), 2 runtime or numerical error (cap violations, failed searches,
-unwritable output, ...).
+unwritable output, a refused memory allocation, ...).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
+from pathlib import Path
 from typing import Sequence
 
-from .circuits import PruningPolicy, build_gaussian_prep
 from .harness import (
+    SWEEP_COLUMNS,
     SweepConfig,
     calibrate_beta,
-    calibration_as_dict,
-    distribution_as_dicts,
+    calibration_summary,
+    calibration_table,
+    distribution_table,
+    gaussian_circuit,
+    histogram_table,
+    json_safe,
     report_as_dict,
     resolve_beta,
     run_prepare,
     run_sweep,
-    sweep_csv_text,
-    sweep_rows_as_dicts,
-    write_calibration_csv,
-    write_distribution_csv,
-    write_histogram_csv,
+    table_records,
+    table_text,
 )
 from .metrics import kl_divergence, laplace_smooth
 from .qasm import export_qasm
-from .reference import GaussianSpec
 from .sampler import sample_counts, tv_distance
-
-
-def _json_safe(value: float) -> object:
-    return value if math.isfinite(value) else format(value, ".17g")
 
 DEFAULT_DECAY_RATE = 1.0
 DEFAULT_DELTA = 0.0123
@@ -156,51 +152,44 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _emit(path: str | None, text: str) -> None:
+    """Write text to the file at path, or to stdout when no path is given."""
+    if path:
+        Path(path).write_text(text, encoding="utf-8", newline="")
+    else:
+        sys.stdout.write(text)
+
+
 def _cmd_prepare(args: argparse.Namespace) -> int:
     result = run_prepare(args.qubits, args.decay_rate, args.delta, args.beta)
     if args.out:
         if args.format == "csv":
-            write_distribution_csv(result, args.out)
+            _emit(args.out, table_text(*distribution_table(result), "csv"))
         else:
-            payload = {
-                "report": report_as_dict(result.report),
-                "distribution": distribution_as_dicts(result),
-            }
-            with open(args.out, "w", encoding="utf-8", newline="") as handle:
-                json.dump(payload, handle, indent=2)
-                handle.write("\n")
+            payload = {"report": report_as_dict(result.report),
+                       "distribution": table_records(*distribution_table(result))}
+            _emit(args.out, json.dumps(payload, indent=2) + "\n")
     print(json.dumps(report_as_dict(result.report), indent=2))
     return 0
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    config = SweepConfig(
-        n_values=tuple(args.qubits),
-        delta_values=tuple(args.deltas),
-        decay_rate=args.decay_rate,
-        beta_mode=args.beta,
-        include_baseline=args.include_baseline,
-        out_path=args.out,
-        fmt=args.format,
-    )
-    rows = run_sweep(config)
+    rows = run_sweep(SweepConfig(
+        n_values=tuple(args.qubits), delta_values=tuple(args.deltas), decay_rate=args.decay_rate,
+        beta_mode=args.beta, include_baseline=args.include_baseline,
+    ))
+    _emit(args.out, table_text(SWEEP_COLUMNS, rows, args.format))
     if args.out:
         failed = sum(1 for row in rows if row.error is not None)
         print(f"wrote {len(rows)} rows to {args.out}" + (f" ({failed} failed)" if failed else ""))
-    elif args.format == "csv":
-        sys.stdout.write(sweep_csv_text(rows))
-    else:
-        print(json.dumps(sweep_rows_as_dicts(rows), indent=2))
     return 0
 
 
 def _cmd_calibrate(args: argparse.Namespace) -> int:
     result = calibrate_beta(args.decay_rate, args.qubits, args.delta)
     if args.out:
-        write_calibration_csv(result, args.out)
-    summary = calibration_as_dict(result)
-    del summary["table"]
-    print(json.dumps(summary, indent=2))
+        _emit(args.out, table_text(*calibration_table(result), "csv"))
+    print(json.dumps(calibration_summary(result), indent=2))
     return 0
 
 
@@ -210,7 +199,7 @@ def _cmd_sample(args: argparse.Namespace) -> int:
     result = run_prepare(args.qubits, args.decay_rate, args.delta, args.beta)
     histogram = sample_counts(result.prepared_probabilities, args.shots, args.seed)
     if args.out:
-        write_histogram_csv(result, histogram.counts, histogram.shots, args.out)
+        _emit(args.out, table_text(*histogram_table(result, histogram), "csv"))
     summary: dict[str, object] = {
         "n": args.qubits,
         "shots": histogram.shots,
@@ -218,11 +207,9 @@ def _cmd_sample(args: argparse.Namespace) -> int:
         "tv_distance": tv_distance(histogram.frequencies, result.prepared_probabilities),
     }
     if args.smoothing is not None:
-        summary["kl_target_to_empirical_smoothed"] = _json_safe(
-            kl_divergence(
-                result.target_probabilities,
-                laplace_smooth(histogram.frequencies, args.smoothing),
-            )
+        smoothed = laplace_smooth(histogram.frequencies, args.smoothing)
+        summary["kl_target_to_empirical_smoothed"] = json_safe(
+            kl_divergence(result.target_probabilities, smoothed)
         )
     print(json.dumps(summary, indent=2))
     return 0
@@ -230,16 +217,7 @@ def _cmd_sample(args: argparse.Namespace) -> int:
 
 def _cmd_export_qasm(args: argparse.Namespace) -> int:
     beta = resolve_beta(args.qubits, args.decay_rate, args.beta)
-    spec = GaussianSpec(decay_rate=args.decay_rate)
-    circuit = build_gaussian_prep(
-        args.qubits, spec, PruningPolicy(args.delta), beta_override=beta
-    )
-    text = export_qasm(circuit)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
+    _emit(args.out, export_qasm(gaussian_circuit(args.qubits, beta, args.delta)))
     return 0
 
 
@@ -252,7 +230,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return code if isinstance(code, int) else 1
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"gaussprep: error: {exc}", file=sys.stderr)
         return 2
 

@@ -15,8 +15,12 @@ Conventions shared by all result tables:
 - The sweep `fidelity` column compares the pruned-QFT circuit against the
   full-QFT circuit at the same beta (the quantity the pruning bound governs);
   `fidelity_target` compares magnitudes against the ideal Gaussian amplitudes.
-- Files are UTF-8 with LF line endings; floats carry 17 significant digits;
-  cells that do not apply to a row are empty.
+- A sweep row's `wall_time_ms` is the time to build and simulate the circuit
+  whose state it reports; a threshold that prunes nothing reports the
+  full-QFT state, simulated once per n, and its time.
+- A table is (columns, rows), rendered by `table_text`. Files are UTF-8 with
+  LF line endings; floats carry 17 significant digits; cells that do not
+  apply to a row are empty.
 """
 
 from __future__ import annotations
@@ -26,14 +30,15 @@ import io
 import json
 import math
 import time
-from dataclasses import dataclass
-from typing import Union
+from dataclasses import dataclass, fields
+from typing import NamedTuple, Sequence, Union
 
 import numpy as np
 
 from .circuits import (
     Circuit,
     PruningPolicy,
+    beta_from_lambda,
     build_gaussian_prep,
     count_gates,
     pruned_cphase_count,
@@ -52,10 +57,12 @@ from .metrics import (
 )
 from .reference import (
     GaussianSpec,
+    TargetDistribution,
     closed_form_probabilities,
     grid_points,
     target_distribution,
 )
+from .sampler import ShotHistogram
 from .statevector import (
     MAX_SIM_QUBITS,
     StateVector,
@@ -74,28 +81,10 @@ MAX_CALIBRATION_QUBITS = 16
 CANDIDATE_BETAS = (2.5, 0.25)
 
 BetaMode = Union[str, float]
-
-SWEEP_COLUMNS = (
-    "n",
-    "delta",
-    "beta",
-    "gate_total",
-    "cphase_count",
-    "pruned_count",
-    "mse",
-    "kl",
-    "fidelity",
-    "fidelity_bound",
-    "wall_time_ms",
-    "fidelity_target",
-    "method",
-    "error",
-)
+Table = tuple[Sequence[str], Sequence[Sequence]]
 
 DISTRIBUTION_COLUMNS = ("index", "x_k", "target_prob", "prepared_prob")
-
 HISTOGRAM_COLUMNS = ("index", "x_k", "prepared_prob", "count", "frequency")
-
 CALIBRATION_COLUMNS = ("kind", "beta", "kl", "fidelity")
 
 
@@ -107,11 +96,9 @@ class PrepareResult:
     grid: np.ndarray
     target_probabilities: np.ndarray
     prepared_probabilities: np.ndarray
-    circuit: Circuit
 
 
-@dataclass(frozen=True)
-class BetaDiagnostic:
+class BetaDiagnostic(NamedTuple):
     """One calibration evaluation: smoothed KL and distribution fidelity."""
 
     beta: float
@@ -137,10 +124,10 @@ class CalibrationResult:
     table: tuple[BetaDiagnostic, ...]
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    """One sweep cell; metric cells are None when the cell failed or does not
-    apply (see the `error` and `method` columns)."""
+class SweepRow(NamedTuple):
+    """One sweep cell, its fields in column order; metric cells are None
+    when the cell failed or does not apply (see the `error` and `method`
+    columns)."""
 
     n: int
     delta: float | None
@@ -158,9 +145,22 @@ class SweepRow:
     error: str | None = None
 
 
+SWEEP_COLUMNS = SweepRow._fields
+
+
+def _check_qubits(n: int) -> None:
+    if not 1 <= n <= MAX_SIM_QUBITS:
+        raise ValueError(f"qubit count {n} outside simulable range 1..{MAX_SIM_QUBITS}")
+
+
+def _check_delta(delta: float) -> None:
+    if not (delta >= 0.0 and math.isfinite(delta)):
+        raise ValueError(f"pruning threshold must be finite and >= 0, got {delta}")
+
+
 @dataclass(frozen=True)
 class SweepConfig:
-    """Grid for run_sweep.
+    """Grid for run_sweep; no qubit count and no threshold may repeat.
 
     beta_mode is "heuristic" (beta = 5 / (2 * decay_rate)), "calibrated"
     (per-n KL minimization at delta = 0), or an explicit positive float.
@@ -171,8 +171,6 @@ class SweepConfig:
     decay_rate: float = 1.0
     beta_mode: BetaMode = "heuristic"
     include_baseline: bool = False
-    out_path: str | None = None
-    fmt: str = "csv"
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "n_values", tuple(int(n) for n in self.n_values))
@@ -182,13 +180,14 @@ class SweepConfig:
         if not self.delta_values:
             raise ValueError("delta_values must be non-empty")
         for n in self.n_values:
-            if not 1 <= n <= MAX_SIM_QUBITS:
-                raise ValueError(f"qubit count {n} outside simulable range 1..{MAX_SIM_QUBITS}")
+            _check_qubits(n)
         for delta in self.delta_values:
-            if not (delta >= 0.0 and math.isfinite(delta)):
-                raise ValueError(f"pruning threshold must be finite and >= 0, got {delta}")
-        if self.fmt not in ("csv", "json"):
-            raise ValueError(f"format must be csv or json, got {self.fmt!r}")
+            _check_delta(delta)
+        for name, values in (("qubit count", self.n_values),
+                             ("pruning threshold", self.delta_values)):
+            repeated = [v for i, v in enumerate(values) if v in values[:i]]
+            if repeated:
+                raise ValueError(f"{name} {repeated[0]} is given more than once")
         _validate_beta_mode(self.beta_mode)
 
 
@@ -211,18 +210,24 @@ def _validate_beta_mode(beta_mode: BetaMode) -> None:
 def resolve_beta(n: int, decay_rate: float, beta_mode: BetaMode) -> float:
     """Turn a beta_mode into a concrete rotation-decay parameter.
 
-    The heuristic is beta = 5 / (2 * decay_rate); a zero decay rate (flat
-    target) has no width to match, so the heuristic falls back to the
-    documented default 2.5 while calibration rejects it.
+    "calibrated" leaves the decay rate to calibrate_beta. Otherwise a
+    negative or non-finite rate is rejected, and the heuristic is
+    beta_from_lambda, falling back to 2.5 for a flat target (rate 0).
     """
     _validate_beta_mode(beta_mode)
-    if isinstance(beta_mode, (int, float)) and not isinstance(beta_mode, bool):
-        return float(beta_mode)
+    if beta_mode == "calibrated":
+        return calibrate_beta(decay_rate, n).best_beta
+    GaussianSpec(decay_rate=decay_rate)  # rejects a negative or non-finite rate
     if beta_mode == "heuristic":
-        if decay_rate == 0.0:
-            return HEURISTIC_FALLBACK_BETA
-        return 5.0 / (2.0 * decay_rate)
-    return calibrate_beta(decay_rate, n).best_beta
+        return beta_from_lambda(decay_rate) if decay_rate > 0.0 else HEURISTIC_FALLBACK_BETA
+    return float(beta_mode)
+
+
+def gaussian_circuit(n: int, beta: float, delta: float) -> Circuit:
+    """The preparation circuit at an explicit beta and pruning threshold;
+    every run, sweep, calibration and export builds it here (the spec only
+    supplies a beta when none is given)."""
+    return build_gaussian_prep(n, GaussianSpec(), PruningPolicy(delta), beta_override=beta)
 
 
 def _simulate(circuit: Circuit) -> StateVector:
@@ -231,12 +236,11 @@ def _simulate(circuit: Circuit) -> StateVector:
     return state
 
 
-def _prepare_state(
-    n: int, spec: GaussianSpec, delta: float, beta: float
-) -> tuple[StateVector, Circuit, PruningPolicy]:
-    policy = PruningPolicy(delta)
-    circuit = build_gaussian_prep(n, spec, policy, beta_override=beta)
-    return _simulate(circuit), circuit, policy
+def _score(target: TargetDistribution, state: StateVector,
+           prepared_probs: np.ndarray) -> tuple[float, float, float]:
+    """Amplitude MSE, prepared-to-target KL and magnitude fidelity of a state."""
+    return (mse(target.amplitudes, state), kl_divergence(prepared_probs, target.probabilities),
+            magnitude_fidelity(target.amplitudes, state))
 
 
 def run_prepare(
@@ -246,26 +250,26 @@ def run_prepare(
     beta_mode: BetaMode = "heuristic",
 ) -> PrepareResult:
     """Build, simulate, and score one Gaussian preparation circuit."""
-    if not 1 <= n <= MAX_SIM_QUBITS:
-        raise ValueError(f"qubit count {n} outside simulable range 1..{MAX_SIM_QUBITS}")
-    if not (delta >= 0.0 and math.isfinite(delta)):
-        raise ValueError(f"pruning threshold must be finite and >= 0, got {delta}")
+    _check_qubits(n)
+    _check_delta(delta)
     spec = GaussianSpec(decay_rate=decay_rate)
     beta = resolve_beta(n, decay_rate, beta_mode)
-    state, circuit, policy = _prepare_state(n, spec, delta, beta)
+    circuit = gaussian_circuit(n, beta, delta)
+    state = _simulate(circuit)
     prepared_probs = state_probabilities(state)
     target = target_distribution(spec, n)
-    inventory = count_gates(circuit, num_pruned_cphase=pruned_cphase_count(n, policy))
+    inventory = count_gates(circuit, num_pruned_cphase=pruned_cphase_count(n, PruningPolicy(delta)))
     target_state = StateVector(n, target.amplitudes.astype(np.complex128))
+    amplitude_mse, kl, magnitude = _score(target, state, prepared_probs)
     report = MetricsReport(
         n=n,
         decay_rate=decay_rate,
         beta=beta,
         delta=delta,
-        mse_amplitude=mse(target.amplitudes, state),
+        mse_amplitude=amplitude_mse,
         mse_phase_optimized=mse_phase_optimized(target.amplitudes, state),
-        kl_divergence=kl_divergence(prepared_probs, target.probabilities),
-        fidelity=magnitude_fidelity(target.amplitudes, state),
+        kl_divergence=kl,
+        fidelity=magnitude,
         fidelity_phase_sensitive=fidelity(target_state, state),
         fidelity_bound=pruning_fidelity_bound(n, delta),
         inventory=inventory,
@@ -275,82 +279,77 @@ def run_prepare(
         grid=grid_points(n, spec).points,
         target_probabilities=target.probabilities,
         prepared_probabilities=prepared_probs,
-        circuit=circuit,
     )
 
 
-def _pruning_fidelity(n: int, spec: GaussianSpec, delta: float, beta: float,
-                      pruned_state: StateVector, num_pruned: int) -> float:
-    """Fidelity of the pruned circuit against the full-QFT circuit.
+class _Run(NamedTuple):
+    """A built and simulated circuit, with the time both took."""
 
-    Exactly 1 when nothing was pruned: the circuits are identical gate lists,
-    so no simulation (and no float round-off) is involved.
-    """
-    if num_pruned == 0:
-        return 1.0
-    full_state, _, _ = _prepare_state(n, spec, 0.0, beta)
-    return fidelity(full_state, pruned_state)
+    circuit: Circuit
+    state: StateVector
+    wall_ms: float
 
 
-def _gaussian_cell(n: int, delta: float, config: SweepConfig, beta: float) -> SweepRow:
+def _timed_run(build) -> _Run:
     start = time.perf_counter()
-    spec = GaussianSpec(decay_rate=config.decay_rate)
-    state, circuit, policy = _prepare_state(n, spec, delta, beta)
-    prepared_probs = state_probabilities(state)
-    target = target_distribution(spec, n)
-    num_pruned = pruned_cphase_count(n, policy)
-    inventory = count_gates(circuit, num_pruned_cphase=num_pruned)
-    wall_ms = (time.perf_counter() - start) * 1000.0
-    return SweepRow(
-        n=n,
-        delta=delta,
-        beta=beta,
-        gate_total=inventory.total,
-        cphase_count=inventory.cphase,
-        pruned_count=num_pruned,
-        mse=mse(target.amplitudes, state),
-        kl=kl_divergence(prepared_probs, target.probabilities),
-        fidelity=_pruning_fidelity(n, spec, delta, beta, state, num_pruned),
-        fidelity_bound=pruning_fidelity_bound(n, delta),
-        wall_time_ms=wall_ms,
-        fidelity_target=magnitude_fidelity(target.amplitudes, state),
-        method="gaussian",
-    )
-
-
-def _baseline_cell(n: int, config: SweepConfig) -> SweepRow:
-    start = time.perf_counter()
-    spec = GaussianSpec(decay_rate=config.decay_rate)
-    target = target_distribution(spec, n)
-    circuit = encode_exact(target.amplitudes, n)
+    circuit = build()
     state = _simulate(circuit)
-    inventory = count_gates(circuit)
-    fid = magnitude_fidelity(target.amplitudes, state)
-    wall_ms = (time.perf_counter() - start) * 1000.0
-    return SweepRow(
-        n=n,
-        delta=None,
-        beta=None,
-        gate_total=inventory.total,
-        cphase_count=inventory.cphase,
-        pruned_count=0,
-        mse=mse(target.amplitudes, state),
-        kl=kl_divergence(state_probabilities(state), target.probabilities),
-        fidelity=fid,
-        fidelity_bound=None,
-        wall_time_ms=wall_ms,
-        fidelity_target=fid,
-        method="baseline",
-    )
+    return _Run(circuit, state, (time.perf_counter() - start) * 1000.0)
+
+
+def _measured(run: _Run, target: TargetDistribution) -> dict[str, object]:
+    """The sweep columns measured on a simulated state."""
+    inventory = count_gates(run.circuit)
+    amplitude_mse, kl, magnitude = _score(target, run.state, state_probabilities(run.state))
+    return dict(gate_total=inventory.total, cphase_count=inventory.cphase, mse=amplitude_mse,
+                kl=kl, wall_time_ms=run.wall_ms, fidelity_target=magnitude)
+
+
+def _gaussian_row(n: int, delta: float, beta: float, target: TargetDistribution,
+                  full: _Run) -> SweepRow:
+    """One (n, delta) cell. A threshold that prunes nothing leaves the
+    full-QFT gate list, so the cell reports the full state with fidelity
+    exactly 1; otherwise only the pruned circuit is simulated, and it is
+    compared with the full state."""
+    num_pruned = pruned_cphase_count(n, PruningPolicy(delta))
+    if num_pruned == 0:
+        run, pruning_fidelity = full, 1.0
+    else:
+        run = _timed_run(lambda: gaussian_circuit(n, beta, delta))
+        pruning_fidelity = fidelity(full.state, run.state)
+    return SweepRow(n=n, delta=delta, beta=beta, pruned_count=num_pruned,
+                    fidelity=pruning_fidelity, fidelity_bound=pruning_fidelity_bound(n, delta),
+                    method="gaussian", **_measured(run, target))
+
+
+def _gaussian_rows(n: int, config: SweepConfig) -> list[SweepRow]:
+    """One row per threshold; the full-QFT circuit is simulated once."""
+    try:
+        beta = resolve_beta(n, config.decay_rate, config.beta_mode)
+        target = target_distribution(GaussianSpec(decay_rate=config.decay_rate), n)
+        full = _timed_run(lambda: gaussian_circuit(n, beta, 0.0))
+    except Exception as exc:
+        return [_error_row(n, delta, "gaussian", exc) for delta in config.delta_values]
+    rows = []
+    for delta in config.delta_values:
+        try:
+            rows.append(_gaussian_row(n, delta, beta, target, full))
+        except Exception as exc:
+            rows.append(_error_row(n, delta, "gaussian", exc))
+    return rows
+
+
+def _baseline_row(n: int, decay_rate: float) -> SweepRow:
+    target = target_distribution(GaussianSpec(decay_rate=decay_rate), n)
+    measured = _measured(_timed_run(lambda: encode_exact(target.amplitudes, n)), target)
+    return SweepRow(n=n, delta=None, beta=None, pruned_count=0,
+                    fidelity=measured["fidelity_target"], fidelity_bound=None,
+                    method="baseline", **measured)
 
 
 def _error_row(n: int, delta: float | None, method: str, exc: Exception) -> SweepRow:
-    message = " ".join(str(exc).split())
-    return SweepRow(
-        n=n, delta=delta, beta=None, gate_total=None, cphase_count=None,
-        pruned_count=None, mse=None, kl=None, fidelity=None, fidelity_bound=None,
-        wall_time_ms=None, fidelity_target=None, method=method, error=message,
-    )
+    blank = dict.fromkeys(SWEEP_COLUMNS[2:-2])  # beta through fidelity_target
+    return SweepRow(n=n, delta=delta, method=method, error=" ".join(str(exc).split()), **blank)
 
 
 def run_sweep(config: SweepConfig) -> list[SweepRow]:
@@ -358,31 +357,18 @@ def run_sweep(config: SweepConfig) -> list[SweepRow]:
 
     A failing cell contributes a row with the error column set instead of
     aborting the sweep. Rows are sorted by (n, method, delta) so output order
-    never depends on evaluation order; the table is written to
-    config.out_path when one is given.
+    never depends on evaluation order.
     """
     rows: list[SweepRow] = []
-    beta_cache: dict[int, float] = {}
     for n in config.n_values:
-        for delta in config.delta_values:
-            try:
-                if n not in beta_cache:
-                    beta_cache[n] = resolve_beta(n, config.decay_rate, config.beta_mode)
-                rows.append(_gaussian_cell(n, delta, config, beta_cache[n]))
-            except Exception as exc:
-                rows.append(_error_row(n, delta, "gaussian", exc))
+        rows += _gaussian_rows(n, config)
         if config.include_baseline:
             try:
-                rows.append(_baseline_cell(n, config))
+                rows.append(_baseline_row(n, config.decay_rate))
             except Exception as exc:
                 rows.append(_error_row(n, None, "baseline", exc))
     rows.sort(key=lambda r: (r.n, 0 if r.method == "gaussian" else 1,
                              r.delta if r.delta is not None else -1.0))
-    if config.out_path is not None:
-        if config.fmt == "csv":
-            write_sweep_csv(rows, config.out_path)
-        else:
-            write_sweep_json(rows, config.out_path)
     return rows
 
 
@@ -402,16 +388,13 @@ def calibrate_beta(decay_rate: float, n: int, delta: float = 0.0) -> Calibration
         )
     if not 1 <= n <= MAX_CALIBRATION_QUBITS:
         raise ValueError(f"calibration supports 1..{MAX_CALIBRATION_QUBITS} qubits, got {n}")
-    if not (delta >= 0.0 and math.isfinite(delta)):
-        raise ValueError(f"pruning threshold must be finite and >= 0, got {delta}")
-    spec = GaussianSpec(decay_rate=decay_rate)
-    target = target_distribution(spec, n)
+    _check_delta(delta)
+    target = target_distribution(GaussianSpec(decay_rate=decay_rate), n)
 
     def prepared_probs(beta: float) -> np.ndarray:
         if delta == 0.0:
             return closed_form_probabilities(n, beta, msb_flipped=True)
-        state, _, _ = _prepare_state(n, spec, delta, beta)
-        return state_probabilities(state)
+        return state_probabilities(_simulate(gaussian_circuit(n, beta, delta)))
 
     def smoothed_kl(probs: np.ndarray) -> float:
         return kl_divergence(target.probabilities, laplace_smooth(probs, SMOOTHING_EPS))
@@ -465,6 +448,36 @@ def calibrate_beta(decay_rate: float, n: int, delta: float = 0.0) -> Calibration
     )
 
 
+def distribution_table(result: PrepareResult) -> Table:
+    """Per-basis-state dump: grid point, target and prepared probability."""
+    values = (result.grid, result.target_probabilities, result.prepared_probabilities)
+    return DISTRIBUTION_COLUMNS, list(zip(range(result.grid.size), *values))
+
+
+def histogram_table(result: PrepareResult, histogram: ShotHistogram) -> Table:
+    """Per-basis-state sampling dump alongside the exact prepared probabilities."""
+    values = (result.grid, result.prepared_probabilities, histogram.counts, histogram.frequencies)
+    return HISTOGRAM_COLUMNS, list(zip(range(result.grid.size), *values))
+
+
+def calibration_table(result: CalibrationResult) -> Table:
+    """Diagnostic table: coarse-grid rows, the two reference betas, the argmin."""
+    rows = [("grid", *diag) for diag in result.table]
+    rows += [("candidate", *diag) for diag in result.candidates]
+    rows.append(("best", result.best_beta, result.best_kl, result.best_fidelity))
+    return CALIBRATION_COLUMNS, rows
+
+
+def json_safe(value: object) -> object:
+    """JSON-safe scalar: numpy scalars become Python ones, non-finite floats strings."""
+    if isinstance(value, (float, np.floating)):
+        value = float(value)
+        return value if math.isfinite(value) else format(value, ".17g")
+    if isinstance(value, np.integer):
+        return int(value)
+    return value
+
+
 def _cell(value: object) -> str:
     """Render one CSV cell; None means 'not applicable' and stays empty."""
     if value is None:
@@ -476,132 +489,36 @@ def _cell(value: object) -> str:
     return format(float(value), ".17g")
 
 
-def _json_value(value: object) -> object:
-    """JSON-safe scalar: non-finite floats become strings."""
-    if isinstance(value, (float, np.floating)):
-        value = float(value)
-        if not math.isfinite(value):
-            return format(value, ".17g")
-        return value
-    if isinstance(value, np.integer):
-        return int(value)
-    return value
+def table_records(columns: Sequence[str], rows: Sequence[Sequence]) -> list[dict[str, object]]:
+    """A table as JSON-safe records, one dict per row."""
+    return [{column: json_safe(value) for column, value in zip(columns, row)} for row in rows]
 
 
-def sweep_rows_as_dicts(rows: list[SweepRow]) -> list[dict[str, object]]:
-    return [
-        {column: _json_value(getattr(row, column)) for column in SWEEP_COLUMNS}
-        for row in rows
-    ]
+def table_text(columns: Sequence[str], rows: Sequence[Sequence], fmt: str) -> str:
+    """Render a table as CSV, header first, or as an indented JSON list of records."""
+    if fmt == "csv":
+        buffer = io.StringIO()
+        writer = csv.writer(buffer, lineterminator="\n")
+        writer.writerow(columns)
+        writer.writerows([_cell(value) for value in row] for row in rows)
+        return buffer.getvalue()
+    if fmt == "json":
+        return json.dumps(table_records(columns, rows), indent=2) + "\n"
+    raise ValueError(f"format must be csv or json, got {fmt!r}")
 
 
-def sweep_csv_text(rows: list[SweepRow]) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(SWEEP_COLUMNS)
-    for row in rows:
-        writer.writerow([_cell(getattr(row, column)) for column in SWEEP_COLUMNS])
-    return buffer.getvalue()
-
-
-def write_sweep_csv(rows: list[SweepRow], path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write(sweep_csv_text(rows))
-
-
-def write_sweep_json(rows: list[SweepRow], path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        json.dump(sweep_rows_as_dicts(rows), handle, indent=2)
-        handle.write("\n")
-
-
-def write_distribution_csv(result: PrepareResult, path: str) -> None:
-    """Per-basis-state dump: grid point, target and prepared probability."""
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(DISTRIBUTION_COLUMNS)
-        for k in range(result.grid.size):
-            writer.writerow([
-                str(k),
-                _cell(result.grid[k]),
-                _cell(result.target_probabilities[k]),
-                _cell(result.prepared_probabilities[k]),
-            ])
-
-
-def write_histogram_csv(result: PrepareResult, counts: np.ndarray, shots: int, path: str) -> None:
-    """Per-basis-state sampling dump alongside the exact prepared probabilities."""
-    counts = np.asarray(counts, dtype=np.int64)
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(HISTOGRAM_COLUMNS)
-        for k in range(result.grid.size):
-            writer.writerow([
-                str(k),
-                _cell(result.grid[k]),
-                _cell(result.prepared_probabilities[k]),
-                str(int(counts[k])),
-                _cell(counts[k] / float(shots)),
-            ])
-
-
-def write_calibration_csv(result: CalibrationResult, path: str) -> None:
-    """Diagnostic table: coarse-grid rows, the two reference betas, the argmin."""
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(CALIBRATION_COLUMNS)
-        for diag in result.table:
-            writer.writerow(["grid", _cell(diag.beta), _cell(diag.kl), _cell(diag.fidelity)])
-        for diag in result.candidates:
-            writer.writerow(["candidate", _cell(diag.beta), _cell(diag.kl), _cell(diag.fidelity)])
-        writer.writerow(["best", _cell(result.best_beta), _cell(result.best_kl), _cell(result.best_fidelity)])
-
-
-def distribution_as_dicts(result: PrepareResult) -> list[dict[str, object]]:
-    return [
-        {
-            "index": k,
-            "x_k": _json_value(float(result.grid[k])),
-            "target_prob": _json_value(float(result.target_probabilities[k])),
-            "prepared_prob": _json_value(float(result.prepared_probabilities[k])),
-        }
-        for k in range(result.grid.size)
-    ]
+def _numbers(obj: object) -> dict[str, object]:
+    """The numeric fields of a dataclass, JSON-safe and in field order."""
+    values = ((field.name, getattr(obj, field.name)) for field in fields(obj))
+    return {name: json_safe(value) for name, value in values if isinstance(value, (int, float))}
 
 
 def report_as_dict(report: MetricsReport) -> dict[str, object]:
     """Flat JSON-safe rendering of a metrics report."""
-    payload: dict[str, object] = {
-        "n": report.n,
-        "decay_rate": report.decay_rate,
-        "beta": report.beta,
-        "delta": report.delta,
-        "mse_amplitude": report.mse_amplitude,
-        "mse_phase_optimized": report.mse_phase_optimized,
-        "kl_divergence": report.kl_divergence,
-        "fidelity": report.fidelity,
-        "fidelity_phase_sensitive": report.fidelity_phase_sensitive,
-        "fidelity_bound": report.fidelity_bound,
-        "gate_counts": report.inventory.as_dict(),
-    }
-    return {key: _json_value(value) for key, value in payload.items()}
+    return {**_numbers(report), "gate_counts": report.inventory.as_dict()}
 
 
-def calibration_as_dict(result: CalibrationResult) -> dict[str, object]:
-    def row(diag: BetaDiagnostic) -> dict[str, object]:
-        return {
-            "beta": _json_value(diag.beta),
-            "kl": _json_value(diag.kl),
-            "fidelity": _json_value(diag.fidelity),
-        }
-
-    return {
-        "n": result.n,
-        "decay_rate": _json_value(result.decay_rate),
-        "delta": _json_value(result.delta),
-        "best_beta": _json_value(result.best_beta),
-        "best_kl": _json_value(result.best_kl),
-        "best_fidelity": _json_value(result.best_fidelity),
-        "candidates": [row(diag) for diag in result.candidates],
-        "table": [row(diag) for diag in result.table],
-    }
+def calibration_summary(result: CalibrationResult) -> dict[str, object]:
+    """JSON-safe search outcome and reference candidates, without the grid."""
+    return {**_numbers(result),
+            "candidates": table_records(BetaDiagnostic._fields, result.candidates)}

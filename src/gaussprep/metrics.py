@@ -1,8 +1,7 @@
 """Error metrics between the prepared state and the ideal target, plus the
 analytic fidelity lower bound for pruned transforms.
 
-KL divergence uses natural log (nats) throughout; LOG_BASE records that so
-plotted values can be rescaled.
+KL divergence uses natural log (nats) throughout.
 """
 
 from __future__ import annotations
@@ -14,8 +13,6 @@ import numpy as np
 
 from .circuits import GateInventory
 from .statevector import StateVector, inner_product
-
-LOG_BASE = math.e
 
 
 @dataclass(frozen=True)
@@ -107,8 +104,8 @@ def laplace_smooth(q: np.ndarray, eps: float) -> np.ndarray:
     constant at the call site, never a silent default.
     """
     q = np.asarray(q, dtype=np.float64)
-    if eps <= 0.0:
-        raise ValueError(f"eps must be > 0, got {eps}")
+    if not (eps > 0.0 and math.isfinite(eps)):
+        raise ValueError(f"eps must be finite and > 0, got {eps}")
     return (q + eps) / (1.0 + q.shape[0] * eps)
 
 
@@ -150,10 +147,14 @@ def distribution_fidelity(p: np.ndarray, q: np.ndarray) -> float:
 
 def pruning_fidelity_bound(n: int, delta: float, loose: bool = False) -> float:
     """Analytic lower bound on fidelity between the full and delta-pruned
-    transforms: 1 - (n-1)^2 * delta^2 / 4, or the looser 1 - n^2 * delta^2 / 4."""
+    transforms: 1 - (n-1)^2 * delta^2 / 4, or the looser 1 - n^2 * delta^2 / 4;
+    -inf once the square overflows a double."""
     if n < 1:
         raise ValueError(f"qubit count must be >= 1, got {n}")
     if delta < 0.0:
         raise ValueError(f"delta must be >= 0, got {delta}")
     factor = float(n) if loose else float(n - 1)
-    return 1.0 - (factor * delta) ** 2 / 4.0
+    try:
+        return 1.0 - (factor * delta) ** 2 / 4.0
+    except OverflowError:
+        return -math.inf

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuits import rotation_angle
+from .statevector import MAX_SIM_QUBITS
 
-MAX_ORACLE_QUBITS = 26
 MAX_DFT_LENGTH = 2**16
 
 
@@ -38,13 +38,6 @@ class GaussianSpec:
                 f"domain_lo must be < domain_hi, got [{self.domain_lo}, {self.domain_hi})"
             )
 
-    @property
-    def sigma(self) -> float:
-        """Standard deviation 1/sqrt(2*decay_rate); infinite for the uniform case."""
-        if self.decay_rate == 0.0:
-            return math.inf
-        return 1.0 / math.sqrt(2.0 * self.decay_rate)
-
 
 @dataclass(frozen=True)
 class Grid:
@@ -52,10 +45,6 @@ class Grid:
 
     n: int
     points: np.ndarray
-
-    @property
-    def spacing(self) -> float:
-        return float(self.points[1] - self.points[0]) if len(self.points) > 1 else 0.0
 
 
 @dataclass(frozen=True)
@@ -90,8 +79,8 @@ def target_distribution(spec: GaussianSpec, n: int) -> TargetDistribution:
 def product_amplitudes_oracle(n: int, beta: float) -> np.ndarray:
     """Amplitudes of the rotation layer's product state, straight from the
     formula: alpha_x = prod_j cos(theta_j/2)^(1-x_j) * sin(theta_j/2)^(x_j)."""
-    if n < 1 or n > MAX_ORACLE_QUBITS:
-        raise ValueError(f"qubit count must be in [1, {MAX_ORACLE_QUBITS}], got {n}")
+    if n < 1 or n > MAX_SIM_QUBITS:
+        raise ValueError(f"qubit count must be in [1, {MAX_SIM_QUBITS}], got {n}")
     amps = np.ones(1)
     for j in range(n - 1, -1, -1):
         half = rotation_angle(j, beta) / 2.0
@@ -135,8 +124,8 @@ def closed_form_probabilities(n: int, beta: float, msb_flipped: bool = False) ->
     evaluating the product index by index. No gate kernel and no FFT is
     involved.
     """
-    if n < 1 or n > MAX_ORACLE_QUBITS:
-        raise ValueError(f"qubit count must be in [1, {MAX_ORACLE_QUBITS}], got {n}")
+    if n < 1 or n > MAX_SIM_QUBITS:
+        raise ValueError(f"qubit count must be in [1, {MAX_SIM_QUBITS}], got {n}")
     dim = 1 << n
     table = np.cos(2.0 * np.pi * np.arange(dim) / dim)
     probs = np.full(dim, 1.0 / dim)

@@ -34,9 +34,6 @@ class StateVector:
                 f"{self.num_qubits} qubits, got shape {self.amplitudes.shape}"
             )
 
-    def copy(self) -> "StateVector":
-        return StateVector(self.num_qubits, self.amplitudes.copy())
-
 
 def new_zero_state(n: int) -> StateVector:
     """|0...0> on n qubits."""

@@ -144,7 +144,7 @@ class TestExponentialLayer:
 class TestPruningPolicy:
     def test_zero_delta_keeps_everything(self):
         policy = PruningPolicy(0.0)
-        assert policy.max_distance is None
+        assert kept_cphase_count(40, policy) == full_cphase_count(40)
         assert policy.keeps(1e-300)
 
     def test_boundary_angle_is_kept(self):
@@ -152,14 +152,22 @@ class TestPruningPolicy:
         policy = PruningPolicy(math.pi / 2)
         assert policy.keeps(math.pi / 2)
         assert not policy.keeps(math.pi / 2 * 0.999999)
-        assert policy.max_distance == 1
+        # only the n - 1 distance-1 gates survive
+        assert kept_cphase_count(5, policy) == 4
+        assert kept_cphase_count(5, PruningPolicy(math.pi / 2 * 1.000001)) == 0
 
     def test_default_threshold_reaches_distance_seven(self):
-        assert PruningPolicy(0.0123).max_distance == 7
+        policy = PruningPolicy(0.0123)
+        # n = 8 keeps distances 1..7, i.e. everything; n = 9 loses the one
+        # distance-8 gate
+        assert kept_cphase_count(8, policy) == full_cphase_count(8)
+        assert kept_cphase_count(9, policy) == full_cphase_count(9) - 1
 
     def test_subnormal_threshold_reaches_past_distance_1024(self):
         # pi * 2**-1074 rounds to the subnormal 1.5e-323; pi * 2**-1075 to 1e-323
-        assert PruningPolicy(1.5e-323).max_distance == 1074
+        policy = PruningPolicy(1.5e-323)
+        assert kept_cphase_count(1075, policy) == full_cphase_count(1075)
+        assert kept_cphase_count(1076, policy) == full_cphase_count(1076) - 1
 
     def test_negative_delta_rejected(self):
         with pytest.raises(ValueError):
@@ -234,7 +242,7 @@ class TestBuildQft:
         for n in range(9, 64):
             kept = kept_cphase_count(n, policy)
             assert kept == sum(n - d for d in range(1, 8))
-            assert kept <= n * policy.max_distance
+            assert kept <= n * 7
         # constant increment once n exceeds the retained distance range
         increments = [
             kept_cphase_count(n + 1, policy) - kept_cphase_count(n, policy)

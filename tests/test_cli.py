@@ -3,10 +3,14 @@ for every subcommand."""
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import io
 import json
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gaussprep.cli import main
 from gaussprep.harness import (
@@ -57,6 +61,24 @@ class TestExitCodes:
     def test_successful_run_exits_zero(self, capsys):
         assert main(["prepare", "--qubits", "3"]) == 0
 
+    def test_refused_allocation_is_a_runtime_error(self, capsys):
+        # 10**15 float64 draws are 7.1 PiB, more than any process can map,
+        # so numpy refuses before it allocates anything
+        assert main(["sample", "-n", "2", "--shots", str(10**15)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("gaussprep: error: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("eps", ["nan", "inf"])
+    def test_non_finite_smoothing_is_a_runtime_error(self, eps, capsys):
+        assert main(["sample", "-n", "3", "--smoothing", eps]) == 2
+        assert "eps must be finite and > 0" in capsys.readouterr().err
+
+    def test_repeated_sweep_values_are_a_runtime_error(self, capsys):
+        assert main(["sweep", "-n", "3", "3", "--deltas", "0"]) == 2
+        assert "qubit count 3 is given more than once" in capsys.readouterr().err
+        assert main(["sweep", "-n", "3", "--deltas", "0", "0"]) == 2
+        assert "pruning threshold 0.0 is given more than once" in capsys.readouterr().err
+
 
 class TestPrepare:
     def test_stdout_report(self, capsys):
@@ -80,6 +102,13 @@ class TestPrepare:
         parsed = read_csv(path)
         assert parsed[0] == list(DISTRIBUTION_COLUMNS)
         assert len(parsed) == 9
+
+    def test_huge_threshold_gives_a_minus_infinite_bound(self, capsys):
+        # (n-1) * delta squared overflows a double; the bound is -inf
+        assert main(["prepare", "-n", "2", "--delta", "1e200"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["fidelity_bound"] == "-inf"
+        assert report["gate_counts"]["cphase"] == 0
 
     def test_distribution_json(self, tmp_path, capsys):
         path = tmp_path / "dist.json"
@@ -169,6 +198,10 @@ class TestSample:
     def test_zero_shots_is_a_runtime_error(self, capsys):
         assert main(["sample", "-n", "3", "--shots", "0"]) == 2
 
+    def test_huge_threshold_samples(self, capsys):
+        assert main(["sample", "-n", "3", "--delta", "1e200", "--shots", "100"]) == 0
+        assert json.loads(capsys.readouterr().out)["shots"] == 100
+
 
 class TestExportQasm:
     def test_stdout_program(self, capsys):
@@ -211,3 +244,59 @@ class TestExportQasm:
         assert main(["export-qasm", "-n", "12", "--delta", "0.0123"]) == 0
         pruned = capsys.readouterr().out.count("cu1(")
         assert full == 66 and pruned == 56
+
+
+# Values for every float flag: the edges of the double range, both
+# infinities, NaN, zeros and ordinary settings.
+FLOAT_TEXTS = ("nan", "inf", "-inf", "0", "-0", "1e-320", "1e200", "-1",
+               "1e-9", "0.0123", "0.5", "1", "2.5")
+QUBITS = st.integers(min_value=-1, max_value=8)
+FLOATS = st.sampled_from(FLOAT_TEXTS)
+# Small shot counts, plus one that numpy refuses to allocate; nothing in
+# between, so no draw allocates gigabytes.
+SHOTS = st.one_of(st.integers(min_value=-1, max_value=3000), st.just(10**15))
+
+
+@st.composite
+def cli_argv(draw):
+    command = draw(st.sampled_from(("prepare", "sweep", "calibrate", "sample", "export-qasm")))
+    argv = [command]
+    if command == "sweep":
+        argv += ["-n", *map(str, draw(st.lists(QUBITS, min_size=1, max_size=3)))]
+        if draw(st.booleans()):
+            argv += ["--deltas", *draw(st.lists(FLOATS, min_size=1, max_size=3))]
+        if draw(st.booleans()):
+            argv.append("--include-baseline")
+    else:
+        argv += ["-n", str(draw(QUBITS))]
+        if draw(st.booleans()):
+            argv += ["--delta", draw(FLOATS)]
+    if draw(st.booleans()):
+        argv += ["--lambda", draw(FLOATS)]
+    if draw(st.booleans()):
+        argv += ["--beta", draw(st.one_of(FLOATS, st.sampled_from(("heuristic", "calibrated"))))]
+    if command == "sample":
+        if draw(st.booleans()):
+            argv += ["--shots", str(draw(SHOTS))]
+        if draw(st.booleans()):
+            argv += ["--smoothing", draw(FLOATS)]
+        if draw(st.booleans()):
+            argv += ["--seed", str(draw(st.integers(min_value=-1, max_value=2**64)))]
+    if command in ("prepare", "sweep") and draw(st.booleans()):
+        argv += ["--format", "json"]
+    return argv
+
+
+class TestArgvProperty:
+    @settings(max_examples=200)
+    @given(cli_argv())
+    # the two inputs that once ended in a traceback
+    @example(["prepare", "-n", "2", "--delta", "1e200"])
+    @example(["sample", "-n", "2", "--shots", str(10**15)])
+    def test_every_run_exits_0_1_or_2(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 1, 2), (argv, code, err.getvalue())
+        if code == 2:
+            assert err.getvalue().startswith("gaussprep: error: "), argv

@@ -1,0 +1,74 @@
+"""Byte-for-byte pins of the sweep table and of `prepare` output.
+
+The files under tests/golden/ were written by the implementation that had
+one scoring function per row kind and one writer per table; the single
+scoring path and table emitter that replaced them must leave every byte
+unchanged except the `wall_time_ms` cells, which are masked on both sides.
+"""
+
+from __future__ import annotations
+
+import re
+from pathlib import Path
+
+import pytest
+
+from gaussprep.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+
+SWEEP_ARGV = [
+    "sweep", "-n", "2", "3", "4", "5", "6", "7", "8", "9", "10",
+    "--deltas", "0", "0.001", "0.0123", "0.1", "--include-baseline",
+]
+WALL_TIME_COLUMN = 10  # position of wall_time_ms in the sweep CSV header
+
+
+def mask_wall_time(text: str) -> str:
+    """Replace every wall_time_ms value, in CSV or in indented JSON; the CSV
+    header stays as it is."""
+    if text.startswith("["):
+        return re.sub(r'("wall_time_ms": )[^,\n]+', r"\1MASKED", text)
+    header, *lines = text.splitlines(keepends=True)
+    masked = [header]
+    for line in lines:
+        cells = line.split(",")
+        if cells[WALL_TIME_COLUMN]:
+            cells[WALL_TIME_COLUMN] = "MASKED"
+        masked.append(",".join(cells))
+    return "".join(masked)
+
+
+def run_cli(argv, capsys):
+    code = main(argv)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize(
+    "name, extra",
+    [("sweep_n2-10.csv", []), ("sweep_n2-10.json", ["--format", "json"])],
+    ids=["csv", "json"],
+)
+def test_sweep_stdout(name, extra, capsys):
+    code, stdout, stderr = run_cli(SWEEP_ARGV + extra, capsys)
+    assert code == 0 and stderr == ""
+    assert mask_wall_time(stdout) == (GOLDEN / name).read_text(encoding="utf-8")
+
+
+def test_prepare_stdout_and_distribution_files(tmp_path, capsys):
+    expected_stdout = (GOLDEN / "prepare_n6.stdout").read_text(encoding="utf-8")
+    code, stdout, _ = run_cli(["prepare", "-n", "6"], capsys)
+    assert code == 0 and stdout == expected_stdout
+
+    csv_path = tmp_path / "distribution.csv"
+    code, stdout, _ = run_cli(["prepare", "-n", "6", "--out", str(csv_path)], capsys)
+    assert code == 0 and stdout == expected_stdout
+    assert csv_path.read_bytes() == (GOLDEN / "prepare_n6.csv").read_bytes()
+
+    json_path = tmp_path / "distribution.json"
+    code, stdout, _ = run_cli(
+        ["prepare", "-n", "6", "--format", "json", "--out", str(json_path)], capsys
+    )
+    assert code == 0 and stdout == expected_stdout
+    assert json_path.read_bytes() == (GOLDEN / "prepare_n6.json").read_bytes()

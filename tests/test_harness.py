@@ -4,6 +4,7 @@ and the decay-parameter calibration search."""
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 
@@ -24,8 +25,8 @@ from gaussprep.harness import (
     DISTRIBUTION_COLUMNS,
     HISTOGRAM_COLUMNS,
     SWEEP_COLUMNS,
-    sweep_csv_text,
-    write_distribution_csv,
+    distribution_table,
+    table_text,
 )
 
 # golden-section argmin of the smoothed-KL objective at n=10, lambda=1
@@ -57,7 +58,7 @@ class TestRunPrepare:
         assert result.report.beta == 1.5
         assert result.prepared_probabilities.shape == (64,)
         assert result.grid.shape == (64,)
-        assert result.circuit.num_qubits == 6
+        assert result.report.inventory.ry == 6
 
     def test_probabilities_are_normalized(self):
         result = run_prepare(8)
@@ -101,6 +102,16 @@ class TestResolveBeta:
     def test_heuristic_flat_target_fallback(self):
         assert resolve_beta(4, 0.0, "heuristic") == 2.5
 
+    @pytest.mark.parametrize("decay_rate", [-1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("beta_mode", ["heuristic", 0.7])
+    def test_bad_decay_rate_rejected(self, decay_rate, beta_mode):
+        with pytest.raises(ValueError, match="decay_rate must be finite and >= 0"):
+            resolve_beta(4, decay_rate, beta_mode)
+
+    def test_calibrated_mode_leaves_the_decay_rate_to_calibration(self):
+        with pytest.raises(ValueError, match="calibration requires a positive decay rate"):
+            resolve_beta(4, -1.0, "calibrated")
+
     def test_invalid_modes_rejected(self):
         with pytest.raises(ValueError):
             resolve_beta(4, 1.0, "typo")
@@ -129,9 +140,15 @@ class TestSweepConfig:
         with pytest.raises(ValueError):
             SweepConfig(n_values=(4,), delta_values=(-0.1,))
 
-    def test_unknown_format_rejected(self):
-        with pytest.raises(ValueError):
-            SweepConfig(n_values=(4,), delta_values=(0.0,), fmt="xml")
+    @pytest.mark.parametrize("n_values, delta_values, message", [
+        ((3, 3), (0.0,), "qubit count 3"),
+        ((3, 4, 3), (0.0,), "qubit count 3"),
+        ((3,), (0.0, 0.0123, 0.0123), "pruning threshold 0.0123"),
+        ((3,), (0.0, -0.0), "pruning threshold -0.0"),
+    ])
+    def test_repeated_values_rejected(self, n_values, delta_values, message):
+        with pytest.raises(ValueError, match=f"{message} is given more than once"):
+            SweepConfig(n_values=n_values, delta_values=delta_values)
 
     def test_bad_beta_mode_rejected(self):
         with pytest.raises(ValueError):
@@ -170,19 +187,14 @@ class TestRunSweep:
             totals = [row.gate_total for row in default_sweep_rows if row.delta == delta]
             assert totals == sorted(totals)
 
-    def test_csv_round_trip_and_determinism(self, default_sweep_rows, tmp_path):
-        config = SweepConfig(
-            n_values=tuple(range(4, 13)),
-            delta_values=(0.0, 0.0123),
-            out_path=str(tmp_path / "sweep.csv"),
-        )
+    def test_csv_round_trip_and_determinism(self, default_sweep_rows):
+        config = SweepConfig(n_values=tuple(range(4, 13)), delta_values=(0.0, 0.0123))
         rows_again = run_sweep(config)
-        text_a = sweep_csv_text(default_sweep_rows)
-        text_b = (tmp_path / "sweep.csv").read_text(encoding="utf-8")
+        text_a = table_text(SWEEP_COLUMNS, default_sweep_rows, "csv")
+        text_b = table_text(SWEEP_COLUMNS, rows_again, "csv")
         assert mask_wall_time(text_a) == mask_wall_time(text_b)
 
-        with open(tmp_path / "sweep.csv", newline="", encoding="utf-8") as handle:
-            parsed = list(csv.reader(handle))
+        parsed = list(csv.reader(io.StringIO(text_b)))
         assert parsed[0] == list(SWEEP_COLUMNS)
         assert len(parsed) == 1 + len(rows_again)
         # floats are written with 17 significant digits: parsing one back
@@ -190,13 +202,9 @@ class TestRunSweep:
         kl_cell = parsed[1][SWEEP_COLUMNS.index("kl")]
         assert float(kl_cell) == rows_again[0].kl
 
-    def test_json_output_parses(self, tmp_path):
-        path = tmp_path / "sweep.json"
-        config = SweepConfig(
-            n_values=(4, 5), delta_values=(0.0,), out_path=str(path), fmt="json"
-        )
-        rows = run_sweep(config)
-        payload = json.loads(path.read_text(encoding="utf-8"))
+    def test_json_output_parses(self):
+        rows = run_sweep(SweepConfig(n_values=(4, 5), delta_values=(0.0,)))
+        payload = json.loads(table_text(SWEEP_COLUMNS, rows, "json"))
         assert [entry["n"] for entry in payload] == [4, 5]
         assert set(payload[0]) == set(SWEEP_COLUMNS)
         assert payload[0]["kl"] == rows[0].kl
@@ -215,14 +223,14 @@ class TestRunSweep:
             assert row.fidelity == row.fidelity_target
 
     def test_failing_cell_becomes_error_row(self, monkeypatch):
-        real_cell = harness._gaussian_cell
+        real_circuit = harness.gaussian_circuit
 
-        def exploding_cell(n, delta, config, beta):
+        def exploding_circuit(n, beta, delta):
             if n == 5:
                 raise ValueError("synthetic failure\n  with newline")
-            return real_cell(n, delta, config, beta)
+            return real_circuit(n, beta, delta)
 
-        monkeypatch.setattr(harness, "_gaussian_cell", exploding_cell)
+        monkeypatch.setattr(harness, "gaussian_circuit", exploding_circuit)
         rows = run_sweep(SweepConfig(n_values=(4, 5, 6), delta_values=(0.0,)))
         assert len(rows) == 3
         failed = [row for row in rows if row.error is not None]
@@ -231,8 +239,40 @@ class TestRunSweep:
         assert failed[0].error == "synthetic failure with newline"
         assert failed[0].kl is None and failed[0].gate_total is None
         # the error row still serializes: one CSV line per row, no stray breaks
-        text = sweep_csv_text(rows)
+        text = table_text(SWEEP_COLUMNS, rows, "csv")
         assert len(text.splitlines()) == 4
+
+    def test_each_circuit_is_simulated_once(self, monkeypatch):
+        # at the default thresholds, 0.0123 prunes nothing for n <= 8, so
+        # n = 4..10 with baselines needs 7 full, 2 pruned and 7 baseline runs
+        simulated = []
+        real_apply = harness.apply_circuit
+
+        def recording_apply(state, circuit):
+            simulated.append(circuit)
+            return real_apply(state, circuit)
+
+        monkeypatch.setattr(harness, "apply_circuit", recording_apply)
+        rows = run_sweep(SweepConfig(n_values=tuple(range(4, 11)),
+                                     delta_values=(0.0, 0.0123), include_baseline=True))
+        assert len(rows) == 21 and all(row.error is None for row in rows)
+        assert len(simulated) == 16
+        assert len(set(simulated)) == 16
+
+    def test_pruned_fidelity_compares_with_the_full_circuit(self):
+        (full_row, pruned_row) = run_sweep(SweepConfig(n_values=(11,), delta_values=(0.0, 0.1)))
+        beta = pruned_row.beta
+        full = harness._simulate(harness.gaussian_circuit(11, beta, 0.0))
+        pruned = harness._simulate(harness.gaussian_circuit(11, beta, 0.1))
+        assert pruned_row.pruned_count > 0
+        assert pruned_row.fidelity == harness.fidelity(full, pruned)
+        assert pruned_row.fidelity < 1.0 and full_row.fidelity == 1.0
+        assert pruned_row.gate_total == full_row.gate_total - pruned_row.pruned_count
+
+    def test_huge_threshold_gives_a_minus_infinite_bound(self):
+        (row,) = run_sweep(SweepConfig(n_values=(3,), delta_values=(1e200,)))
+        assert row.error is None and row.pruned_count == 3
+        assert row.fidelity_bound == -math.inf
 
 
 class TestWriters:
@@ -246,12 +286,21 @@ class TestWriters:
         assert HISTOGRAM_COLUMNS == ("index", "x_k", "prepared_prob", "count", "frequency")
         assert CALIBRATION_COLUMNS == ("kind", "beta", "kl", "fidelity")
 
-    def test_distribution_csv(self, tmp_path):
+    def test_unknown_format_rejected(self):
+        with pytest.raises(ValueError, match="format must be csv or json"):
+            table_text(SWEEP_COLUMNS, [], "xml")
+
+    def test_cells_that_do_not_apply(self):
+        rows = [(1, None, math.inf), (np.int64(2), "a,b", np.float64(-math.inf))]
+        assert table_text(("a", "b", "c"), rows, "csv") == 'a,b,c\n1,,inf\n2,"a,b",-inf\n'
+        assert json.loads(table_text(("a", "b", "c"), rows, "json")) == [
+            {"a": 1, "b": None, "c": "inf"},
+            {"a": 2, "b": "a,b", "c": "-inf"},
+        ]
+
+    def test_distribution_csv(self):
         result = run_prepare(3)
-        path = tmp_path / "distribution.csv"
-        write_distribution_csv(result, str(path))
-        with open(path, newline="", encoding="utf-8") as handle:
-            parsed = list(csv.reader(handle))
+        parsed = list(csv.reader(io.StringIO(table_text(*distribution_table(result), "csv"))))
         assert parsed[0] == list(DISTRIBUTION_COLUMNS)
         assert len(parsed) == 1 + 8
         assert [row[0] for row in parsed[1:]] == [str(k) for k in range(8)]

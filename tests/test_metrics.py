@@ -174,6 +174,10 @@ class TestLaplaceSmooth:
             laplace_smooth(np.array([0.5, 0.5]), 0.0)
         with pytest.raises(ValueError):
             laplace_smooth(np.array([0.5, 0.5]), -1e-9)
+        with pytest.raises(ValueError):
+            laplace_smooth(np.array([0.5, 0.5]), math.nan)
+        with pytest.raises(ValueError):
+            laplace_smooth(np.array([0.5, 0.5]), math.inf)
 
 
 class TestFidelity:
@@ -247,6 +251,17 @@ class TestPruningFidelityBound:
     def test_no_pruning_means_unit_bound(self):
         assert pruning_fidelity_bound(12, 0.0, loose=True) == 1.0
         assert pruning_fidelity_bound(12, 0.0, loose=False) == 1.0
+
+    def test_overflowing_square_gives_minus_infinity(self):
+        # (n-1) * delta beyond ~1.34e154 squares past the largest double
+        assert pruning_fidelity_bound(2, 1e200) == -math.inf
+        assert pruning_fidelity_bound(3, 1e154, loose=True) == -math.inf
+        assert pruning_fidelity_bound(2, 1e150) == 1.0 - (1e150) ** 2 / 4.0
+
+    @pytest.mark.parametrize("n, delta", [(2, 1e-3), (16, 0.0123), (9, 0.1), (26, 3.7)])
+    def test_finite_bound_keeps_its_bits(self, n, delta):
+        assert pruning_fidelity_bound(n, delta) == 1.0 - (float(n - 1) * delta) ** 2 / 4.0
+        assert pruning_fidelity_bound(n, delta, loose=True) == 1.0 - (float(n) * delta) ** 2 / 4.0
 
     def test_invalid_arguments_rejected(self):
         with pytest.raises(ValueError):

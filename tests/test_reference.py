@@ -29,13 +29,6 @@ TARGET_L1_N1 = (0.017986209962091555, 0.9820137900379085)
 
 
 class TestGaussianSpec:
-    def test_sigma_from_decay_rate(self):
-        assert GaussianSpec(decay_rate=0.5).sigma == pytest.approx(1.0)
-        assert GaussianSpec(decay_rate=2.0).sigma == pytest.approx(0.5)
-
-    def test_flat_target_has_infinite_sigma(self):
-        assert GaussianSpec(decay_rate=0.0).sigma == math.inf
-
     def test_negative_decay_rate_rejected(self):
         with pytest.raises(ValueError):
             GaussianSpec(decay_rate=-1.0)
@@ -55,7 +48,7 @@ class TestGridPoints:
     def test_eight_qubit_spacing(self):
         grid = grid_points(8)
         assert grid.points.size == 256
-        assert grid.spacing == pytest.approx(0.015625)
+        np.testing.assert_allclose(np.diff(grid.points), 0.015625, rtol=1e-12)
         assert grid.points[0] == -2.0
         assert grid.points[-1] == pytest.approx(2.0 - 0.015625)
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 from typing import Sequence
@@ -61,8 +62,8 @@ def _beta_mode(text: str):
         raise argparse.ArgumentTypeError(
             f"expected 'heuristic', 'calibrated', or a positive number, got {text!r}"
         ) from None
-    if not value > 0.0:
-        raise argparse.ArgumentTypeError(f"explicit beta must be > 0, got {text!r}")
+    if not (value > 0.0 and math.isfinite(value)):
+        raise argparse.ArgumentTypeError(f"explicit beta must be finite and > 0, got {text!r}")
     return value
 
 

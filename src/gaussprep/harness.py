@@ -212,15 +212,22 @@ def resolve_beta(n: int, decay_rate: float, beta_mode: BetaMode) -> float:
 
     "calibrated" leaves the decay rate to calibrate_beta. Otherwise a
     negative or non-finite rate is rejected, and the heuristic is
-    beta_from_lambda, falling back to 2.5 for a flat target (rate 0).
+    beta_from_lambda, falling back to 2.5 for a flat target (rate 0); a rate
+    so small that the heuristic beta overflows is rejected too.
     """
     _validate_beta_mode(beta_mode)
     if beta_mode == "calibrated":
         return calibrate_beta(decay_rate, n).best_beta
     GaussianSpec(decay_rate=decay_rate)  # rejects a negative or non-finite rate
-    if beta_mode == "heuristic":
-        return beta_from_lambda(decay_rate) if decay_rate > 0.0 else HEURISTIC_FALLBACK_BETA
-    return float(beta_mode)
+    if beta_mode != "heuristic":
+        return float(beta_mode)
+    if decay_rate == 0.0:
+        return HEURISTIC_FALLBACK_BETA
+    beta = beta_from_lambda(decay_rate)
+    if not math.isfinite(beta):
+        raise ValueError(f"lambda = {decay_rate!r} is too small: the heuristic beta = "
+                         f"5 / (2 * lambda) overflows to {beta}")
+    return beta
 
 
 def gaussian_circuit(n: int, beta: float, delta: float) -> Circuit:
@@ -382,7 +389,9 @@ def calibrate_beta(decay_rate: float, n: int, delta: float = 0.0) -> Calibration
     evaluation uses the closed-form output probabilities; pruned variants
     fall back to gate-level simulation.
     """
-    if not (decay_rate > 0.0 and math.isfinite(decay_rate)):
+    if not math.isfinite(decay_rate):
+        raise ValueError(f"calibration requires a finite decay rate, got {decay_rate}")
+    if not decay_rate > 0.0:
         raise ValueError(
             "calibration requires a positive decay rate: a flat target has no width to match"
         )

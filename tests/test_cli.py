@@ -7,11 +7,16 @@ import contextlib
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import gaussprep
 from gaussprep.cli import main
 from gaussprep.harness import (
     CALIBRATION_COLUMNS,
@@ -32,6 +37,10 @@ def read_csv(path):
         return list(csv.reader(handle))
 
 
+def read_csv_text(text):
+    return list(csv.reader(io.StringIO(text)))
+
+
 class TestExitCodes:
     def test_no_arguments_is_a_usage_error(self, capsys):
         assert main([]) == 1
@@ -42,6 +51,26 @@ class TestExitCodes:
     def test_invalid_beta_text_is_a_usage_error(self, capsys):
         assert main(["prepare", "--qubits", "4", "--beta", "-1"]) == 1
         assert main(["prepare", "--qubits", "4", "--beta", "junk"]) == 1
+
+    @pytest.mark.parametrize("text", ["inf", "1e999", "nan", "0", "-1"])
+    def test_bad_explicit_beta_is_a_usage_error(self, text, capsys):
+        assert main(["prepare", "--qubits", "4", "--beta", text]) == 1
+        assert f"explicit beta must be finite and > 0, got '{text}'" in capsys.readouterr().err
+
+    def test_overflowing_heuristic_beta_is_a_runtime_error(self, capsys):
+        assert main(["export-qasm", "-n", "4", "--lambda", "1e-320"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("gaussprep: error: lambda = 1e-320 ")
+        assert "beta" in err and "non-finite angle" not in err
+        assert main(["sweep", "-n", "4", "--deltas", "0", "--lambda", "1e-320"]) == 0
+        row = read_csv_text(capsys.readouterr().out)[1]
+        assert row[-1].startswith("lambda = 1e-320 ") and "beta" in row[-1]
+
+    @pytest.mark.parametrize("rate", ["nan", "inf"])
+    def test_non_finite_calibration_rate_is_a_runtime_error(self, rate, capsys):
+        assert main(["calibrate", "-n", "5", "--lambda", rate]) == 2
+        err = capsys.readouterr().err
+        assert f"finite decay rate, got {rate}" in err and "flat target" not in err
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
@@ -244,6 +273,18 @@ class TestExportQasm:
         assert main(["export-qasm", "-n", "12", "--delta", "0.0123"]) == 0
         pruned = capsys.readouterr().out.count("cu1(")
         assert full == 66 and pruned == 56
+
+
+class TestModuleEntryPoint:
+    def test_python_dash_m_runs_the_cli(self):
+        source_root = str(Path(gaussprep.__file__).resolve().parent.parent)
+        path = os.pathsep.join(filter(None, [source_root, os.environ.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-m", "gaussprep", "prepare", "-n", "3"],
+            env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout)["n"] == 3
 
 
 # Values for every float flag: the edges of the double range, both

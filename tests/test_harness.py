@@ -108,6 +108,11 @@ class TestResolveBeta:
         with pytest.raises(ValueError, match="decay_rate must be finite and >= 0"):
             resolve_beta(4, decay_rate, beta_mode)
 
+    def test_overflowing_heuristic_beta_rejected(self):
+        with pytest.raises(ValueError, match=r"lambda = 1e-320 .*beta .*overflows to inf"):
+            resolve_beta(4, 1e-320, "heuristic")
+        assert resolve_beta(4, 1e-320, 0.7) == 0.7
+
     def test_calibrated_mode_leaves_the_decay_rate_to_calibration(self):
         with pytest.raises(ValueError, match="calibration requires a positive decay rate"):
             resolve_beta(4, -1.0, "calibrated")
@@ -330,6 +335,11 @@ class TestCalibrateBeta:
     def test_flat_target_rejected(self):
         with pytest.raises(ValueError, match="width"):
             calibrate_beta(0.0, 8)
+
+    @pytest.mark.parametrize("decay_rate", [math.nan, math.inf, -math.inf])
+    def test_non_finite_decay_rate_rejected(self, decay_rate):
+        with pytest.raises(ValueError, match=f"requires a finite decay rate, got {decay_rate}"):
+            calibrate_beta(decay_rate, 8)
 
     def test_qubit_cap(self):
         with pytest.raises(ValueError):

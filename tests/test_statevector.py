@@ -3,29 +3,40 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from conftest import circuit_matrix, random_normalized_amplitudes, simulate
+from conftest import (
+    circuit_matrix,
+    literal_apply_gate,
+    random_normalized_amplitudes,
+    simulate,
+)
 from gaussprep import (
     Circuit,
+    GaussianSpec,
     StateVector,
     apply_circuit,
     apply_gate,
     build_qft,
     cphase,
     dft_oracle,
+    encode_exact,
     h,
     inner_product,
     new_zero_state,
     probabilities,
+    resolve_beta,
     ry,
     swap,
+    target_distribution,
     x,
 )
+from gaussprep.harness import gaussian_circuit
 from gaussprep.statevector import MAX_SIM_QUBITS
 
 SQRT1_2 = 1.0 / math.sqrt(2.0)
@@ -88,8 +99,9 @@ class TestApplyGate:
 
     def test_index_out_of_range(self):
         state = new_zero_state(2)
-        with pytest.raises(ValueError):
-            apply_gate(state, h(2))
+        for gate in (h(2), ry(5, 0.3), x(2), cphase(0, 2, 0.5), swap(3, 1)):
+            with pytest.raises(ValueError, match="out of range for 2 qubits"):
+                apply_gate(state, gate)
 
     @given(st.integers(min_value=1, max_value=6), st.integers(min_value=0, max_value=2**32 - 1))
     def test_norm_preserved_by_random_gate_sequences(self, n, seed):
@@ -170,6 +182,89 @@ class TestApplyCircuit:
             apply_circuit(StateVector(3, amps.copy()), c1), c2
         )
         np.testing.assert_array_equal(joined.amplitudes, stepped.amplitudes)
+
+
+def _literal_run(amplitudes: np.ndarray, circuit: Circuit) -> np.ndarray:
+    state = StateVector(circuit.num_qubits, amplitudes.copy())
+    for gate in circuit.gates:
+        literal_apply_gate(state, gate)
+    return state.amplitudes
+
+
+def _assert_matches_literal_gates(amplitudes: np.ndarray, circuit: Circuit) -> None:
+    expected = _literal_run(amplitudes, circuit)
+    state = apply_circuit(StateVector(circuit.num_qubits, amplitudes.copy()), circuit)
+    assert np.array_equal(state.amplitudes, expected)
+
+
+_ANGLES = st.sampled_from([0.0, -0.0, 1e-300, -0.4, math.pi, -math.pi, 2.5, -7.0, 13.0])
+
+
+@st.composite
+def _circuits(draw):
+    """A leading RY run (qubits may repeat or come out of order, angles may
+    be 0 or negative) followed by a tail of any of the five gates."""
+    n = draw(st.integers(min_value=1, max_value=8))
+    qubit = st.integers(min_value=0, max_value=n - 1)
+    gates = [ry(q, a) for q, a in draw(st.lists(st.tuples(qubit, _ANGLES), max_size=2 * n))]
+    one_qubit = st.builds(ry, qubit, _ANGLES) | st.builds(h, qubit) | st.builds(x, qubit)
+    if n > 1:
+        pair = st.lists(qubit, min_size=2, max_size=2, unique=True)
+        two_qubit = (st.builds(lambda p, a: cphase(*p, a), pair, _ANGLES)
+                     | st.builds(lambda p: swap(*p), pair))
+        one_qubit = one_qubit | two_qubit
+    gates += draw(st.lists(one_qubit, max_size=12))
+    return Circuit(n, tuple(gates))
+
+
+class TestKernelsMatchLiteralGates:
+    """apply_circuit, its kernels and its |0...0> product prefix against the
+    per-gate reference in conftest, amplitude for amplitude."""
+
+    @given(_circuits(), st.booleans(), st.integers(min_value=0, max_value=2**32 - 1))
+    @example(Circuit(3, (ry(2, 0.4), ry(0, -1.1), ry(1, 0.0))), True, 0)
+    @example(Circuit(2, (ry(0, 0.4), ry(1, 0.7), ry(0, -0.2), h(1))), True, 0)
+    @example(Circuit(3, (ry(1, 0.4), ry(1, 0.4))), True, 0)
+    def test_random_circuits(self, circuit, from_zero, seed):
+        dim = 1 << circuit.num_qubits
+        if from_zero:
+            amplitudes = new_zero_state(circuit.num_qubits).amplitudes
+        else:
+            amplitudes = random_normalized_amplitudes(np.random.default_rng(seed), dim)
+        _assert_matches_literal_gates(amplitudes, circuit)
+
+    @pytest.mark.parametrize("delta", [0.0, 0.0123])
+    @pytest.mark.parametrize("n", range(1, 15))
+    def test_gaussian_circuits(self, n, delta):
+        beta = resolve_beta(n, 1.0, "heuristic")
+        circuit = gaussian_circuit(n, beta, delta)
+        _assert_matches_literal_gates(new_zero_state(n).amplitudes, circuit)
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_exact_encoding_circuits(self, n):
+        target = target_distribution(GaussianSpec(decay_rate=1.0), n)
+        circuit = encode_exact(target.amplitudes, n)
+        _assert_matches_literal_gates(new_zero_state(n).amplitudes, circuit)
+
+    def test_state_other_than_zero_is_not_overwritten(self):
+        # |0...0> up to a global phase is not |0...0>: the RY prefix must not
+        # replace it with a product state
+        amplitudes = new_zero_state(3).amplitudes * -1.0
+        _assert_matches_literal_gates(amplitudes, Circuit(3, (ry(0, 0.3), ry(2, 1.2))))
+
+
+class TestPeakMemory:
+    def test_gaussian_circuit_allocates_at_most_one_state(self):
+        n = 14
+        circuit = gaussian_circuit(n, resolve_beta(n, 1.0, "heuristic"), 0.0123)
+        state = new_zero_state(n)
+        tracemalloc.start()
+        try:
+            apply_circuit(state, circuit)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= state.amplitudes.nbytes
 
 
 class TestInnerProductAndProbabilities:

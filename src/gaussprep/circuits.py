@@ -9,8 +9,9 @@ most significant (j = n-1).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass, field
 from enum import Enum
+from operator import attrgetter
 from typing import TYPE_CHECKING, Iterator
 
 if TYPE_CHECKING:
@@ -35,38 +36,71 @@ _TWO_QUBIT = (GateKind.CPHASE, GateKind.SWAP)
 _ANGLED = (GateKind.RY, GateKind.CPHASE)
 
 
-@dataclass(frozen=True)
 class GateOp:
     """One primitive gate: kind, qubit indices, and an angle where applicable.
 
     RY/H/X act on exactly one qubit; CPHASE and SWAP on exactly two distinct
     qubits. Only RY and CPHASE carry an angle (radians).
+
+    An immutable slotted record: every construction validates and normalises
+    its arguments (qubits to a tuple of int, the angle to float), and
+    equality and hashing are over (kind, qubits, angle).
     """
+
+    __slots__ = ("kind", "qubits", "angle")
 
     kind: GateKind
     qubits: tuple[int, ...]
-    angle: float | None = None
+    angle: float | None
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "qubits", tuple(int(q) for q in self.qubits))
-        n_expected = 2 if self.kind in _TWO_QUBIT else 1
-        if len(self.qubits) != n_expected:
-            raise ValueError(
-                f"{self.kind.value} takes exactly {n_expected} qubit(s), "
-                f"got {self.qubits}"
-            )
-        if any(q < 0 for q in self.qubits):
-            raise ValueError(f"negative qubit index in {self.qubits}")
-        if len(set(self.qubits)) != len(self.qubits):
-            raise ValueError(f"{self.kind.value} qubits must be distinct: {self.qubits}")
-        if self.kind in _ANGLED:
-            if self.angle is None:
-                raise ValueError(f"{self.kind.value} requires an angle")
-            object.__setattr__(self, "angle", float(self.angle))
-            if not math.isfinite(self.angle):
-                raise ValueError(f"non-finite angle {self.angle}")
-        elif self.angle is not None:
-            raise ValueError(f"{self.kind.value} does not take an angle")
+    def __init__(self, kind: GateKind, qubits: tuple[int, ...], angle: float | None = None) -> None:
+        qubits = tuple(map(int, qubits))
+        n_expected = 2 if kind in _TWO_QUBIT else 1
+        if len(qubits) != n_expected:
+            raise ValueError(f"{kind.value} takes exactly {n_expected} qubit(s), got {qubits}")
+        if min(qubits) < 0:
+            raise ValueError(f"negative qubit index in {qubits}")
+        if n_expected == 2 and qubits[0] == qubits[1]:
+            raise ValueError(f"{kind.value} qubits must be distinct: {qubits}")
+        if kind in _ANGLED:
+            if angle is None:
+                raise ValueError(f"{kind.value} requires an angle")
+            angle = float(angle)
+            if not math.isfinite(angle):
+                raise ValueError(f"non-finite angle {angle}")
+        elif angle is not None:
+            raise ValueError(f"{kind.value} does not take an angle")
+        _set_kind(self, kind)
+        _set_qubits(self, qubits)
+        _set_angle(self, angle)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not GateOp:
+            return NotImplemented
+        return (self.kind, self.qubits, self.angle) == (other.kind, other.qubits, other.angle)
+
+    def __hash__(self) -> int:
+        return hash((self.kind, self.qubits, self.angle))
+
+    def __repr__(self) -> str:
+        return f"GateOp(kind={self.kind!r}, qubits={self.qubits!r}, angle={self.angle!r})"
+
+    def __reduce__(self):
+        # copy and pickle rebuild through the validating constructor
+        return GateOp, (self.kind, self.qubits, self.angle)
+
+
+# The slot descriptors' own setters: the constructor's writes bypass the
+# __setattr__ that makes the record immutable.
+_set_kind = GateOp.kind.__set__
+_set_qubits = GateOp.qubits.__set__
+_set_angle = GateOp.angle.__set__
 
 
 def ry(qubit: int, angle: float) -> GateOp:
@@ -100,11 +134,9 @@ class Circuit:
         if self.num_qubits < 1:
             raise ValueError(f"num_qubits must be >= 1, got {self.num_qubits}")
         object.__setattr__(self, "gates", tuple(self.gates))
-        for gate in self.gates:
-            if max(gate.qubits) >= self.num_qubits:
-                raise ValueError(
-                    f"gate {gate} addresses qubit >= num_qubits={self.num_qubits}"
-                )
+        if max(map(max, map(_qubits_of, self.gates)), default=-1) >= self.num_qubits:
+            gate = next(g for g in self.gates if max(g.qubits) >= self.num_qubits)
+            raise ValueError(f"gate {gate} addresses qubit >= num_qubits={self.num_qubits}")
 
     def __len__(self) -> int:
         return len(self.gates)
@@ -113,9 +145,19 @@ class Circuit:
         return iter(self.gates)
 
     def __add__(self, other: "Circuit") -> "Circuit":
+        if not isinstance(other, Circuit):
+            return NotImplemented
         if self.num_qubits != other.num_qubits:
             raise ValueError("cannot concatenate circuits of different sizes")
-        return Circuit(self.num_qubits, self.gates + other.gates)
+        # Both operands were range-checked against this register size, so
+        # the joined gates are not checked again.
+        joined = object.__new__(Circuit)
+        object.__setattr__(joined, "num_qubits", self.num_qubits)
+        object.__setattr__(joined, "gates", self.gates + other.gates)
+        return joined
+
+
+_qubits_of = attrgetter("qubits")
 
 
 @dataclass(frozen=True)
@@ -198,6 +240,23 @@ def build_exponential_layer(n: int, beta: float) -> Circuit:
     return Circuit(n, tuple(ry(j, rotation_angle(j, beta)) for j in range(n)))
 
 
+def _kept_angles(n: int, policy: PruningPolicy) -> list[float]:
+    """The controlled-phase angle pi/2**d of each distance d = 1, 2, ... that
+    the policy keeps, in order of d.
+
+    The angle does not increase with d, so the first pruned distance ends the
+    list. Unlike pi / 2.0**d, ldexp does not overflow for d >= 1024; the two
+    agree exactly for smaller d.
+    """
+    angles: list[float] = []
+    for d in range(1, n):
+        phi = math.ldexp(math.pi, -d)
+        if not policy.keeps(phi):
+            break
+        angles.append(phi)
+    return angles
+
+
 def build_qft(n: int, policy: PruningPolicy = PruningPolicy(0.0)) -> Circuit:
     """QFT circuit mapping |j> to (1/sqrt(2^n)) sum_k e^(2*pi*i*j*k/2^n) |k>.
 
@@ -208,15 +267,14 @@ def build_qft(n: int, policy: PruningPolicy = PruningPolicy(0.0)) -> Circuit:
     of floor(n/2) SWAPs reverses the register.
     """
     _check_synth_size(n)
+    angles = _kept_angles(n, policy)
     gates: list[GateOp] = []
     for target in range(n - 1, -1, -1):
         gates.append(h(target))
-        for d in range(1, target + 1):
-            # Unlike pi / 2.0**d, ldexp does not overflow for d >= 1024; the
-            # two agree exactly for smaller d.
-            phi = math.ldexp(math.pi, -d)
-            if policy.keeps(phi):
-                gates.append(cphase(target, target - d, phi))
+        # control target - d gets angles[d - 1]; zip stops at control 0 or
+        # at the last kept distance
+        for control, phi in zip(range(target - 1, -1, -1), angles):
+            gates.append(cphase(target, control, phi))
     for i in range(n // 2):
         gates.append(swap(i, n - 1 - i))
     return Circuit(n, tuple(gates))
@@ -245,12 +303,9 @@ def full_cphase_count(n: int) -> int:
 
 def kept_cphase_count(n: int, policy: PruningPolicy) -> int:
     """Controlled-phase count surviving the policy: sum over kept distances d
-    of (n - d)."""
-    count = 0
-    for d in range(1, n):
-        if policy.keeps(math.ldexp(math.pi, -d)):
-            count += n - d
-    return count
+    of (n - d), i.e. k*n - k*(k+1)/2 for the k kept distances 1..k."""
+    k = len(_kept_angles(n, policy))
+    return k * n - k * (k + 1) // 2
 
 
 def pruned_cphase_count(n: int, policy: PruningPolicy) -> int:

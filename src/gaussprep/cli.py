@@ -238,3 +238,7 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 def entry_point() -> None:
     raise SystemExit(main(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    entry_point()

@@ -19,10 +19,11 @@ from .circuits import Circuit, GateOp, cphase, h, ry
 NORM_TOL = 1e-10
 
 
-def _emit_cnot(gates: list[GateOp], control: int, target: int) -> None:
-    gates.append(h(target))
-    gates.append(cphase(control, target, math.pi))
-    gates.append(h(target))
+def _cnot_gates(control: int, target: int) -> tuple[GateOp, GateOp, GateOp]:
+    """CNOT(control, target) as H * CPHASE(pi) * H, built once per pair: the
+    gates are immutable, so every CNOT of the pair shares them."""
+    hadamard = h(target)
+    return (hadamard, cphase(control, target, math.pi), hadamard)
 
 
 def _emit_multiplexed_ry(
@@ -30,6 +31,7 @@ def _emit_multiplexed_ry(
     angles: np.ndarray,
     controls: tuple[int, ...],
     target: int,
+    cnots: dict[int, tuple[GateOp, GateOp, GateOp]],
 ) -> None:
     """Ry(angles[p]) on target, selected by the controls' bit pattern p
     (controls[0] is the pattern's most significant bit).
@@ -38,6 +40,7 @@ def _emit_multiplexed_ry(
     d = (a0-a1)/2, the multiplexor equals  M(s) CNOT M(d) CNOT  because the
     CNOT conjugation negates the second block's rotation exactly when the top
     control is 1 (X Ry(t) X = Ry(-t)), leaving s+d = a0 or s-d = a1.
+    cnots[c] is CNOT(c, target) as H * CPHASE(pi) * H.
     """
     if not controls:
         gates.append(ry(target, float(angles[0])))
@@ -46,10 +49,11 @@ def _emit_multiplexed_ry(
     a0, a1 = angles[:half], angles[half:]
     s = (a0 + a1) / 2.0
     d = (a0 - a1) / 2.0
-    _emit_multiplexed_ry(gates, s, controls[1:], target)
-    _emit_cnot(gates, controls[0], target)
-    _emit_multiplexed_ry(gates, d, controls[1:], target)
-    _emit_cnot(gates, controls[0], target)
+    cnot = cnots[controls[0]]
+    _emit_multiplexed_ry(gates, s, controls[1:], target, cnots)
+    gates.extend(cnot)
+    _emit_multiplexed_ry(gates, d, controls[1:], target, cnots)
+    gates.extend(cnot)
 
 
 def encode_exact(target_amplitudes: np.ndarray, n: int) -> Circuit:
@@ -90,5 +94,6 @@ def encode_exact(target_amplitudes: np.ndarray, n: int) -> Circuit:
             ratio = np.where(parents > 0.0, left_children / np.maximum(parents, 1e-300), 1.0)
         angles = 2.0 * np.arccos(np.sqrt(np.clip(ratio, 0.0, 1.0)))
         controls = tuple(range(n - 1, n - 1 - level, -1))
-        _emit_multiplexed_ry(gates, angles, controls, n - 1 - level)
+        cnots = {c: _cnot_gates(c, n - 1 - level) for c in controls}
+        _emit_multiplexed_ry(gates, angles, controls, n - 1 - level, cnots)
     return Circuit(n, tuple(gates))

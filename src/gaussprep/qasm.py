@@ -14,20 +14,35 @@ _HEADER = 'OPENQASM 2.0;\ninclude "qelib1.inc";\n'
 
 def export_qasm(circuit: Circuit) -> str:
     """Render the circuit as an OpenQASM 2.0 program over register q."""
+    cphase, h, swap, ry, x = (
+        GateKind.CPHASE, GateKind.H, GateKind.SWAP, GateKind.RY, GateKind.X
+    )
+    reg = [f"q[{i}]" for i in range(circuit.num_qubits)]
+    # Each distinct angle is formatted once; a QFT has one per distance.
+    angle_texts: dict[float, str] = {}
     lines = [_HEADER + f"qreg q[{circuit.num_qubits}];"]
+    append = lines.append
     for gate in circuit.gates:
-        if gate.kind is GateKind.RY:
-            lines.append(f"ry({gate.angle:.17g}) q[{gate.qubits[0]}];")
-        elif gate.kind is GateKind.H:
-            lines.append(f"h q[{gate.qubits[0]}];")
-        elif gate.kind is GateKind.X:
-            lines.append(f"x q[{gate.qubits[0]}];")
-        elif gate.kind is GateKind.CPHASE:
+        kind = gate.kind
+        if kind is cphase or kind is ry:
+            angle = gate.angle
+            text = angle_texts.get(angle)
+            # 0.0 and -0.0 share a key but print as "0" and "-0"
+            if text is None or not angle:
+                text = angle_texts[angle] = f"{angle:.17g}"
+            if kind is cphase:
+                a, b = gate.qubits
+                append(f"cu1({text}) {reg[a]},{reg[b]};")
+            else:
+                append(f"ry({text}) {reg[gate.qubits[0]]};")
+        elif kind is h:
+            append(f"h {reg[gate.qubits[0]]};")
+        elif kind is swap:
             a, b = gate.qubits
-            lines.append(f"cu1({gate.angle:.17g}) q[{a}],q[{b}];")
-        elif gate.kind is GateKind.SWAP:
-            a, b = gate.qubits
-            lines.append(f"swap q[{a}],q[{b}];")
+            append(f"swap {reg[a]},{reg[b]};")
+        elif kind is x:
+            append(f"x {reg[gate.qubits[0]]};")
         else:  # pragma: no cover - GateOp validation makes this unreachable
             raise ValueError(f"unsupported gate kind: {gate.kind}")
-    return "\n".join(lines) + "\n"
+    append("")
+    return "\n".join(lines)

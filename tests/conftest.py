@@ -13,8 +13,11 @@ from gaussprep import (
     GateOp,
     StateVector,
     apply_circuit,
+    cphase,
+    h,
     new_zero_state,
     rotation_angle,
+    ry,
 )
 
 settings.register_profile(
@@ -123,6 +126,77 @@ def literal_apply_gate(state: StateVector, gate: GateOp) -> StateVector:
     else:  # pragma: no cover - GateKind is closed
         raise ValueError(f"unknown gate kind {gate.kind}")
     return state
+
+
+_QASM_HEADER = 'OPENQASM 2.0;\ninclude "qelib1.inc";\n'
+
+
+def literal_export_qasm(circuit: Circuit) -> str:
+    """One f-string per gate and per angle: the serialiser whose bytes
+    gaussprep.qasm.export_qasm, with its per-angle text cache, must match."""
+    lines = [_QASM_HEADER + f"qreg q[{circuit.num_qubits}];"]
+    for gate in circuit.gates:
+        if gate.kind is GateKind.RY:
+            lines.append(f"ry({gate.angle:.17g}) q[{gate.qubits[0]}];")
+        elif gate.kind is GateKind.H:
+            lines.append(f"h q[{gate.qubits[0]}];")
+        elif gate.kind is GateKind.X:
+            lines.append(f"x q[{gate.qubits[0]}];")
+        elif gate.kind is GateKind.CPHASE:
+            a, b = gate.qubits
+            lines.append(f"cu1({gate.angle:.17g}) q[{a}],q[{b}];")
+        elif gate.kind is GateKind.SWAP:
+            a, b = gate.qubits
+            lines.append(f"swap q[{a}],q[{b}];")
+        else:  # pragma: no cover - GateOp validation makes this unreachable
+            raise ValueError(f"unsupported gate kind: {gate.kind}")
+    return "\n".join(lines) + "\n"
+
+
+def _literal_emit_cnot(gates: list[GateOp], control: int, target: int) -> None:
+    gates.append(h(target))
+    gates.append(cphase(control, target, math.pi))
+    gates.append(h(target))
+
+
+def _literal_emit_multiplexed_ry(
+    gates: list[GateOp], angles: np.ndarray, controls: tuple[int, ...], target: int
+) -> None:
+    if not controls:
+        gates.append(ry(target, float(angles[0])))
+        return
+    half = len(angles) // 2
+    a0, a1 = angles[:half], angles[half:]
+    s = (a0 + a1) / 2.0
+    d = (a0 - a1) / 2.0
+    _literal_emit_multiplexed_ry(gates, s, controls[1:], target)
+    _literal_emit_cnot(gates, controls[0], target)
+    _literal_emit_multiplexed_ry(gates, d, controls[1:], target)
+    _literal_emit_cnot(gates, controls[0], target)
+
+
+def literal_encode_exact(target_amplitudes: np.ndarray, n: int) -> Circuit:
+    """The exact encoder with three new gates per CNOT: the per-gate
+    construction that gaussprep.encoder.encode_exact, which shares one
+    H and one CPHASE per (control, target) pair, must equal gate for gate.
+    Input validation is left to the package."""
+    masses = np.asarray(target_amplitudes, dtype=np.float64) ** 2
+    node_masses: list[np.ndarray] = [masses]
+    for _ in range(n):
+        masses = masses.reshape(-1, 2).sum(axis=1)
+        node_masses.append(masses)
+    node_masses.reverse()
+
+    gates: list[GateOp] = []
+    for level in range(n):
+        parents = node_masses[level]
+        left_children = node_masses[level + 1][0::2]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = np.where(parents > 0.0, left_children / np.maximum(parents, 1e-300), 1.0)
+        angles = 2.0 * np.arccos(np.sqrt(np.clip(ratio, 0.0, 1.0)))
+        controls = tuple(range(n - 1, n - 1 - level, -1))
+        _literal_emit_multiplexed_ry(gates, angles, controls, n - 1 - level)
+    return Circuit(n, tuple(gates))
 
 
 def random_normalized_amplitudes(rng: np.random.Generator, dim: int) -> np.ndarray:

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import copy
 import math
+import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -62,11 +65,70 @@ class TestGateOp:
         with pytest.raises(ValueError):
             cphase(0, 1, math.inf)
 
+    @pytest.mark.parametrize("kind, qubits, angle, message", [
+        (GateKind.RY, (0, 1), 0.1, r"^ry takes exactly 1 qubit\(s\), got \(0, 1\)$"),
+        (GateKind.SWAP, (np.int64(3),), None, r"^swap takes exactly 2 qubit\(s\), got \(3,\)$"),
+        (GateKind.CPHASE, (-1, -1), 0.5, r"^negative qubit index in \(-1, -1\)$"),
+        (GateKind.SWAP, (1, 1), None, r"^swap qubits must be distinct: \(1, 1\)$"),
+        (GateKind.CPHASE, (0, 1), None, r"^cphase requires an angle$"),
+        (GateKind.RY, (0,), -math.inf, r"^non-finite angle -inf$"),
+        (GateKind.H, (0,), 0.5, r"^h does not take an angle$"),
+    ])
+    def test_messages(self, kind, qubits, angle, message):
+        with pytest.raises(ValueError, match=message):
+            GateOp(kind, qubits, angle)
+
+    def test_immutable(self):
+        gate = cphase(1, 0, 0.5)
+        for name in ("kind", "qubits", "angle", "other"):
+            with pytest.raises(AttributeError):
+                setattr(gate, name, None)
+            with pytest.raises(AttributeError):
+                delattr(gate, name)
+        assert gate == cphase(1, 0, 0.5)
+
+    def test_equal_gates_compare_and_hash_equal(self):
+        assert cphase(1, 0, 0.5) == GateOp(GateKind.CPHASE, [1, 0], 0.5)
+        assert hash(cphase(1, 0, 0.5)) == hash(GateOp(GateKind.CPHASE, [1, 0], 0.5))
+        assert hash(h(3)) == hash((GateKind.H, (3,), None))
+        assert cphase(1, 0, 0.5) != cphase(0, 1, 0.5)
+        assert cphase(1, 0, 0.5) != cphase(1, 0, 0.25)
+        assert h(0) != x(0)
+        assert h(0) != (GateKind.H, (0,), None)
+        assert len({h(0), h(0), x(0)}) == 2
+
+    def test_qubits_normalised_to_int(self):
+        gate = h(np.int64(3))
+        assert gate.qubits == (3,)
+        assert type(gate.qubits) is tuple and type(gate.qubits[0]) is int
+
+    def test_angle_normalised_to_float(self):
+        gate = ry(0, np.float32(0.5))
+        assert type(gate.angle) is float and gate.angle == 0.5
+        assert type(cphase(0, 1, 1).angle) is float
+
+    def test_copies_are_rebuilt_through_the_constructor(self):
+        gate = cphase(2, 0, 0.25)
+        assert pickle.loads(pickle.dumps(gate)) == gate
+        assert copy.copy(gate) == gate and copy.deepcopy(gate) == gate
+
+    def test_repr(self):
+        assert repr(h(2)) == "GateOp(kind=<GateKind.H: 'h'>, qubits=(2,), angle=None)"
+
 
 class TestCircuit:
     def test_gate_indices_must_fit_register(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"addresses qubit >= num_qubits=2$"):
             Circuit(2, (h(2),))
+
+    def test_first_gate_out_of_range_is_named(self):
+        with pytest.raises(ValueError, match=r"^gate GateOp\(kind=<GateKind.SWAP: 'swap'>"):
+            Circuit(3, (h(0), cphase(2, 1, 0.5), swap(3, 0), h(4)))
+        assert len(Circuit(3, (h(0), cphase(2, 1, 0.5), swap(2, 0)))) == 3
+
+    def test_concatenation_requires_a_circuit(self):
+        with pytest.raises(TypeError):
+            Circuit(2, ()) + (h(0),)
 
     def test_concatenation_requires_equal_size(self):
         with pytest.raises(ValueError):
@@ -207,6 +269,24 @@ class TestBuildQft:
         with pytest.raises(ValueError):
             build_qft(MAX_SYNTH_QUBITS + 1)
 
+    def test_one_angle_object_per_distance(self):
+        n = 40
+        angles = [g.angle for g in build_qft(n).gates if g.kind is GateKind.CPHASE]
+        assert len(angles) == full_cphase_count(n)
+        assert len({id(angle) for angle in angles}) == n - 1
+
+    def test_retained_bytes_per_gate(self):
+        # The slotted record and the shared per-distance angles keep a
+        # 131,584-gate circuit at about 128 B per gate; a dataclass GateOp
+        # with a float per gate took 192.
+        tracemalloc.start()
+        try:
+            circuit = build_qft(512)
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert retained / len(circuit) <= 150
+
     def test_kept_count_at_the_synthesis_cap(self):
         # distances past 1023 neither overflow nor get pruned at delta = 0
         n = MAX_SYNTH_QUBITS
@@ -225,6 +305,14 @@ class TestBuildQft:
             if g.kind is not GateKind.CPHASE or g.angle >= delta
         )
         assert pruned.gates == expected
+
+    @given(
+        st.integers(min_value=1, max_value=40),
+        st.floats(min_value=0.0, max_value=4.0, allow_nan=False),
+    )
+    def test_kept_count_is_the_built_count(self, n, delta):
+        policy = PruningPolicy(delta)
+        assert kept_cphase_count(n, policy) == count_gates(build_qft(n, policy)).cphase
 
     @given(
         st.integers(min_value=2, max_value=20),

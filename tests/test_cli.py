@@ -276,15 +276,30 @@ class TestExportQasm:
 
 
 class TestModuleEntryPoint:
-    def test_python_dash_m_runs_the_cli(self):
+    @staticmethod
+    def run_module(*argv):
         source_root = str(Path(gaussprep.__file__).resolve().parent.parent)
         path = os.pathsep.join(filter(None, [source_root, os.environ.get("PYTHONPATH")]))
-        done = subprocess.run(
-            [sys.executable, "-m", "gaussprep", "prepare", "-n", "3"],
+        return subprocess.run(
+            [sys.executable, "-m", *argv],
             env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=60,
         )
+
+    def test_python_dash_m_runs_the_cli(self):
+        done = self.run_module("gaussprep", "prepare", "-n", "3")
         assert done.returncode == 0, done.stderr
         assert json.loads(done.stdout)["n"] == 3
+
+    def test_cli_module_runs_the_cli(self):
+        done = self.run_module("gaussprep.cli", "prepare", "-n", "3")
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout)["n"] == 3
+
+    def test_cli_module_reports_a_runtime_error(self):
+        done = self.run_module("gaussprep.cli", "export-qasm", "-n", "4", "--lambda", "1e-320")
+        assert done.returncode == 2
+        assert done.stdout == ""
+        assert "gaussprep: error: lambda = 1e-320 is too small" in done.stderr
 
 
 # Values for every float flag: the edges of the double range, both

@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import simulate
+from conftest import literal_encode_exact, simulate
 from gaussprep import (
     GateKind,
     GaussianSpec,
@@ -87,6 +87,20 @@ class TestCostModel:
         target = np.full(2**n, 1 / math.sqrt(2**n))
         inventory = count_gates(encode_exact(target, n))
         assert inventory.total == encoder_total(n)
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_gates_equal_the_per_gate_construction(self, n):
+        rng = np.random.default_rng(n)
+        target = rng.random(2**n)
+        target[rng.random(2**n) < 0.25] = 0.0  # empty subtrees too
+        target[0] = 1.0
+        target /= np.linalg.norm(target)
+        circuit = encode_exact(target, n)
+        assert circuit.gates == literal_encode_exact(target, n).gates
+        assert len(circuit) == encoder_total(n)
+        # one shared CPHASE object per (control, target) pair
+        cphases = {id(op) for op in circuit.gates if op.kind is GateKind.CPHASE}
+        assert len(cphases) == n * (n - 1) // 2
 
     def test_cost_at_least_doubles_per_qubit(self):
         for n in range(4, 10):

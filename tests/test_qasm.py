@@ -9,19 +9,23 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from conftest import simulate
+from conftest import literal_export_qasm, simulate
 from gaussprep import (
     Circuit,
     GaussianSpec,
     PruningPolicy,
     build_gaussian_prep,
     cphase,
+    encode_exact,
     export_qasm,
     h,
     probabilities,
     ry,
     swap,
+    target_distribution,
     x,
 )
 
@@ -139,3 +143,56 @@ class TestSemanticRoundTrip:
         reimported = interpret_qasm(export_qasm(circuit))
         expected = simulate(circuit).amplitudes
         np.testing.assert_allclose(reimported, expected, atol=1e-10)
+
+
+# Both zeros, a tiny angle, +-pi, QFT angles down to the smallest and an
+# ordinary value: the cache must keep apart every pair that prints apart.
+QASM_ANGLES = st.sampled_from(
+    (0.0, -0.0, 1e-300, math.pi, -math.pi, 2.5)
+    + tuple(math.ldexp(math.pi, -d) for d in (1, 2, 7, 30, 1074))
+)
+
+
+@st.composite
+def random_circuits(draw):
+    n = draw(st.integers(min_value=2, max_value=6))
+    qubit = st.integers(min_value=0, max_value=n - 1)
+    pair = st.tuples(qubit, qubit).filter(lambda p: p[0] != p[1])
+    gate = st.one_of(
+        st.builds(ry, qubit, QASM_ANGLES),
+        st.builds(h, qubit),
+        st.builds(x, qubit),
+        st.builds(lambda p, a: cphase(*p, a), pair, QASM_ANGLES),
+        st.builds(lambda p: swap(*p), pair),
+    )
+    return Circuit(n, tuple(draw(st.lists(gate, max_size=30))))
+
+
+class TestMatchesLiteralSerializer:
+    @pytest.mark.parametrize("delta", [0.0, 0.0123, 0.1])
+    def test_gaussian_circuits(self, delta):
+        for n in range(1, 65):
+            circuit = build_gaussian_prep(n, GaussianSpec(decay_rate=1.0), PruningPolicy(delta))
+            assert export_qasm(circuit) == literal_export_qasm(circuit)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_exact_encoding_circuits(self, n):
+        target = target_distribution(GaussianSpec(decay_rate=1.0), n).amplitudes
+        circuit = encode_exact(target, n)
+        assert export_qasm(circuit) == literal_export_qasm(circuit)
+
+    @given(random_circuits())
+    def test_random_circuits(self, circuit):
+        assert export_qasm(circuit) == literal_export_qasm(circuit)
+
+    def test_signed_zero_angles_keep_their_sign(self):
+        circuit = Circuit(2, (
+            cphase(1, 0, 0.0), cphase(1, 0, -0.0), ry(0, 0.0), ry(0, -0.0), cphase(0, 1, 0.0),
+        ))
+        assert export_qasm(circuit).splitlines()[3:] == [
+            "cu1(0) q[1],q[0];",
+            "cu1(-0) q[1],q[0];",
+            "ry(0) q[0];",
+            "ry(-0) q[0];",
+            "cu1(0) q[0],q[1];",
+        ]

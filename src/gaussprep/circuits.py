@@ -42,8 +42,9 @@ class GateOp:
     RY/H/X act on exactly one qubit; CPHASE and SWAP on exactly two distinct
     qubits. Only RY and CPHASE carry an angle (radians).
 
-    An immutable slotted record: every construction validates and normalises
-    its arguments (qubits to a tuple of int, the angle to float), and
+    An immutable slotted record: every construction validates its arguments
+    (the kind must be a GateKind member, not its string value) and
+    normalises them (qubits to a tuple of int, the angle to float), and
     equality and hashing are over (kind, qubits, angle).
     """
 
@@ -54,6 +55,8 @@ class GateOp:
     angle: float | None
 
     def __init__(self, kind: GateKind, qubits: tuple[int, ...], angle: float | None = None) -> None:
+        if kind.__class__ is not GateKind:
+            raise ValueError(f"gate kind must be a GateKind, got {kind!r}")
         qubits = tuple(map(int, qubits))
         n_expected = 2 if kind in _TWO_QUBIT else 1
         if len(qubits) != n_expected:

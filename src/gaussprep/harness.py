@@ -49,6 +49,7 @@ from .metrics import (
     distribution_fidelity,
     fidelity,
     kl_divergence,
+    kl_divergence_from,
     laplace_smooth,
     magnitude_fidelity,
     mse,
@@ -59,6 +60,7 @@ from .reference import (
     GaussianSpec,
     TargetDistribution,
     closed_form_probabilities,
+    cosine_table,
     grid_points,
     target_distribution,
 )
@@ -213,7 +215,8 @@ def resolve_beta(n: int, decay_rate: float, beta_mode: BetaMode) -> float:
     "calibrated" leaves the decay rate to calibrate_beta. Otherwise a
     negative or non-finite rate is rejected, and the heuristic is
     beta_from_lambda, falling back to 2.5 for a flat target (rate 0); a rate
-    so small that the heuristic beta overflows is rejected too.
+    so small that the heuristic beta overflows, or so large that it
+    underflows to 0, is rejected too, naming the rate.
     """
     _validate_beta_mode(beta_mode)
     if beta_mode == "calibrated":
@@ -227,6 +230,9 @@ def resolve_beta(n: int, decay_rate: float, beta_mode: BetaMode) -> float:
     if not math.isfinite(beta):
         raise ValueError(f"lambda = {decay_rate!r} is too small: the heuristic beta = "
                          f"5 / (2 * lambda) overflows to {beta}")
+    if beta == 0.0:
+        raise ValueError(f"lambda = {decay_rate!r} is too large: the heuristic beta = "
+                         f"5 / (2 * lambda) underflows to {beta}")
     return beta
 
 
@@ -386,8 +392,9 @@ def calibrate_beta(decay_rate: float, n: int, delta: float = 0.0) -> Calibration
     Coarse geometric grid first, then golden-section refinement of the
     bracketing interval. The grid is evaluated once: its diagnostics give
     the search values and are returned as `table`. With delta = 0 each
-    evaluation uses the closed-form output probabilities; pruned variants
-    fall back to gate-level simulation.
+    evaluation uses the closed-form output probabilities, all from one
+    cosine table; pruned variants fall back to gate-level simulation. The
+    target is checked and indexed once for every KL evaluation.
     """
     if not math.isfinite(decay_rate):
         raise ValueError(f"calibration requires a finite decay rate, got {decay_rate}")
@@ -399,14 +406,16 @@ def calibrate_beta(decay_rate: float, n: int, delta: float = 0.0) -> Calibration
         raise ValueError(f"calibration supports 1..{MAX_CALIBRATION_QUBITS} qubits, got {n}")
     _check_delta(delta)
     target = target_distribution(GaussianSpec(decay_rate=decay_rate), n)
+    kl_from_target = kl_divergence_from(target.probabilities)
+    cosines = cosine_table(n) if delta == 0.0 else None
 
     def prepared_probs(beta: float) -> np.ndarray:
-        if delta == 0.0:
-            return closed_form_probabilities(n, beta, msb_flipped=True)
+        if cosines is not None:
+            return closed_form_probabilities(n, beta, msb_flipped=True, table=cosines)
         return state_probabilities(_simulate(gaussian_circuit(n, beta, delta)))
 
     def smoothed_kl(probs: np.ndarray) -> float:
-        return kl_divergence(target.probabilities, laplace_smooth(probs, SMOOTHING_EPS))
+        return kl_from_target(laplace_smooth(probs, SMOOTHING_EPS))
 
     def objective(beta: float) -> float:
         return smoothed_kl(prepared_probs(beta))

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -85,15 +86,35 @@ def kl_divergence(p: np.ndarray, q: np.ndarray) -> float:
     Convention: terms with p_x = 0 contribute 0; any x with p_x > 0 and
     q_x = 0 makes the divergence +inf (returned as the sentinel math.inf).
     """
+    return kl_divergence_from(p)(q)
+
+
+def kl_divergence_from(p: np.ndarray) -> Callable[[np.ndarray], float]:
+    """The function q -> kl_divergence(p, q), with p checked and indexed once.
+
+    For a fixed p scored against many q (a calibration objective): p is
+    validated, its support found and its supported entries copied here, so
+    each call only checks q and evaluates the sum. Later changes to the
+    array p do not reach the returned function.
+    """
     p = np.asarray(p, dtype=np.float64)
-    q = np.asarray(q, dtype=np.float64)
-    _check_same_length(p, q)
-    if np.any(p < 0.0) or np.any(q < 0.0):
+    if np.any(p < 0.0):
         raise ValueError("probabilities must be non-negative")
     support = p > 0.0
-    if np.any(q[support] == 0.0):
-        return math.inf
-    return float(np.sum(p[support] * np.log(p[support] / q[support])))
+    p_support = p[support]
+    if p_support.shape == p.shape:
+        support = slice(None)  # every entry counts: read q without a copy
+
+    def kl_to(q: np.ndarray) -> float:
+        q = np.asarray(q, dtype=np.float64)
+        _check_same_length(p, q)
+        if np.any(q < 0.0):
+            raise ValueError("probabilities must be non-negative")
+        if np.any(q[support] == 0.0):
+            return math.inf
+        return float(np.sum(p_support * np.log(p_support / q[support])))
+
+    return kl_to
 
 
 def laplace_smooth(q: np.ndarray, eps: float) -> np.ndarray:

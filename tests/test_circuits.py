@@ -78,6 +78,12 @@ class TestGateOp:
         with pytest.raises(ValueError, match=message):
             GateOp(kind, qubits, angle)
 
+    @pytest.mark.parametrize("kind, angle", [("h", None), ("ry", 0.1), (None, None)])
+    def test_kind_must_be_a_gate_kind(self, kind, angle):
+        # "h" == GateKind.H, so only the type check tells the two apart
+        with pytest.raises(ValueError, match=r"^gate kind must be a GateKind, got "):
+            GateOp(kind, (0,), angle)
+
     def test_immutable(self):
         gate = cphase(1, 0, 0.5)
         for name in ("kind", "qubits", "angle", "other"):

@@ -66,6 +66,13 @@ class TestExitCodes:
         row = read_csv_text(capsys.readouterr().out)[1]
         assert row[-1].startswith("lambda = 1e-320 ") and "beta" in row[-1]
 
+    def test_underflowing_heuristic_beta_is_a_runtime_error(self, capsys):
+        # 5 / (2 * 1e308) is 5 / inf = 0.0: refused by name, not as "beta 0.0"
+        assert main(["prepare", "-n", "4", "--lambda", "1e308"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("gaussprep: error: lambda = 1e+308 is too large: ")
+        assert "underflows to 0.0" in err and "beta must be > 0" not in err
+
     @pytest.mark.parametrize("rate", ["nan", "inf"])
     def test_non_finite_calibration_rate_is_a_runtime_error(self, rate, capsys):
         assert main(["calibrate", "-n", "5", "--lambda", rate]) == 2
@@ -294,6 +301,13 @@ class TestModuleEntryPoint:
         done = self.run_module("gaussprep.cli", "prepare", "-n", "3")
         assert done.returncode == 0, done.stderr
         assert json.loads(done.stdout)["n"] == 3
+
+    def test_overflowing_target_exponent_prints_no_warning(self):
+        # -1e308 * x^2 overflows to -inf, weight 0: the right limit, not news
+        done = self.run_module("gaussprep", "calibrate", "-n", "14", "--lambda", "1e308")
+        assert done.returncode == 2
+        lines = done.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("gaussprep: error: "), done.stderr
 
     def test_cli_module_reports_a_runtime_error(self):
         done = self.run_module("gaussprep.cli", "export-qasm", "-n", "4", "--lambda", "1e-320")

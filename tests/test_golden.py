@@ -3,6 +3,9 @@
 The files under tests/golden/ were written by the implementation that
 preceded the periodic closed form, the single-pass calibration grid and
 the sorted shot lookup; those changes must leave every byte unchanged.
+The n = 14 and n = 16 calibration files were written by the implementation
+that preceded the shared cosine table, the tiled short-period factors and
+the once-prepared KL target.
 """
 
 from __future__ import annotations
@@ -29,10 +32,14 @@ def run_cli(argv, capsys):
     [
         # delta 0: every evaluation goes through the closed form
         ("calibrate_n10_lambda1", ["calibrate", "-n", "10", "--lambda", "1.0"]),
+        # the closed form at the sizes where its short-period factors are
+        # tiled and one cosine table serves every evaluation
+        ("calibrate_n14_lambda1.3", ["calibrate", "-n", "14", "--lambda", "1.3"]),
+        ("calibrate_n16_lambda0.8", ["calibrate", "-n", "16", "--lambda", "0.8"]),
         # delta > 0: every evaluation simulates the pruned circuit gate by gate
         ("calibrate_n8_delta0.0123", ["calibrate", "-n", "8", "--delta", "0.0123"]),
     ],
-    ids=["closed-form", "gate-level"],
+    ids=["closed-form", "closed-form-n14", "closed-form-n16", "gate-level"],
 )
 def test_calibrate_stdout_and_table(stem, argv, tmp_path, capsys):
     out = tmp_path / "table.csv"

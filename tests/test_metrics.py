@@ -4,6 +4,7 @@ family, and the analytic pruning fidelity bound."""
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,17 +13,20 @@ from hypothesis import strategies as st
 
 from gaussprep import (
     GateInventory,
+    GaussianSpec,
     MetricsReport,
     StateVector,
     distribution_fidelity,
     fidelity,
     kl_divergence,
+    kl_divergence_from,
     laplace_smooth,
     magnitude_fidelity,
     mse,
     mse_phase_optimized,
     new_zero_state,
     pruning_fidelity_bound,
+    target_distribution,
 )
 
 # pruning_fidelity_bound at (n=16, delta=0.0123), written out by hand:
@@ -155,6 +159,73 @@ class TestKlDivergence:
         p /= p.sum()
         q /= q.sum()
         assert kl_divergence(p, q) >= -1e-15
+
+
+def literal_kl(p, q):
+    """The divergence as one masked expression, evaluated anew for each q."""
+    support = p > 0.0
+    if np.any(q[support] == 0.0):
+        return math.inf
+    return float(np.sum(p[support] * np.log(p[support] / q[support])))
+
+
+class TestKlDivergenceFrom:
+    # one target with exact zeros, one everywhere positive
+    TARGETS = (
+        np.array([0.0, 0.2, 0.3, 0.0, 0.1, 0.4, 0.0, 0.0]),
+        target_distribution(GaussianSpec(decay_rate=1.3), 3).probabilities,
+    )
+
+    @pytest.mark.parametrize("p", TARGETS, ids=["zeros", "positive"])
+    def test_bit_identical_to_kl_of_smoothed_q(self, p):
+        rng = np.random.default_rng(5)
+        kl_from_p = kl_divergence_from(p)
+        for q in (rng.random(8), np.array([0.0, 0.5, 0.0, 0.25, 0.0, 0.25, 0.0, 0.0]),
+                  np.zeros(8), p):
+            smoothed = laplace_smooth(q, 1e-12)
+            value = kl_from_p(smoothed)
+            # float.hex tells 0.0 from -0.0: equal hex strings are equal bits
+            assert value.hex() == kl_divergence(p, smoothed).hex() == literal_kl(p, smoothed).hex()
+            assert math.isfinite(value)
+
+    @pytest.mark.parametrize("p", TARGETS, ids=["zeros", "positive"])
+    def test_zero_on_the_support_is_infinite(self, p):
+        q = np.where(np.arange(8) == 5, 0.0, 1.0 / 7.0)
+        assert kl_divergence_from(p)(q) == math.inf == literal_kl(p, q)
+
+    def test_later_changes_to_p_do_not_reach_it(self):
+        for target in self.TARGETS:
+            p = target.copy()
+            q = laplace_smooth(np.full(8, 0.125), 1e-12)
+            kl_from_p = kl_divergence_from(p)
+            expected = kl_from_p(q)
+            p[:] = 0.125
+            assert kl_from_p(q) == expected
+
+    @pytest.mark.parametrize("zeros", [0, 1], ids=["positive", "one-zero"])
+    def test_peak_memory_is_three_arrays(self, zeros):
+        # run_prepare's peak falls in its KL call: the copied support of p,
+        # two temporaries and the one-byte support mask, as before the factory
+        rng = np.random.default_rng(3)
+        p = rng.random(1 << 16)
+        p[:zeros] = 0.0
+        q = rng.random(1 << 16)
+        tracemalloc.start()
+        try:
+            kl_divergence(p, q)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.25 * p.nbytes
+
+    def test_inputs_checked(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            kl_divergence_from(np.array([-0.1, 1.1]))
+        kl_from_p = kl_divergence_from(np.array([0.5, 0.5]))
+        with pytest.raises(ValueError, match="non-negative"):
+            kl_from_p(np.array([-0.5, 1.5]))
+        with pytest.raises(ValueError, match="length mismatch"):
+            kl_from_p(np.array([1.0]))
 
 
 class TestLaplaceSmooth:

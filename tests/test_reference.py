@@ -17,6 +17,7 @@ from gaussprep import (
     build_exponential_layer,
     build_gaussian_prep,
     closed_form_probabilities,
+    cosine_table,
     dft_oracle,
     grid_points,
     probabilities,
@@ -177,15 +178,32 @@ class TestClosedFormProbabilities:
         m = np.arange(1, 2**n)
         np.testing.assert_allclose(probs[m], probs[(2**n - m) % 2**n], atol=1e-12)
 
+    @pytest.fixture(scope="class")
+    def shared_tables(self):
+        """One read-only cosine table per n, shared by every case below: a
+        call that wrote to its table would raise."""
+        tables = {n: cosine_table(n) for n in range(1, 17)}
+        for table in tables.values():
+            table.flags.writeable = False
+        return tables
+
     @pytest.mark.parametrize("msb_flipped", [False, True])
     @pytest.mark.parametrize("beta", [0.01, 0.3, 1.7, 9.9])
-    def test_bit_identical_to_literal_evaluation(self, beta, msb_flipped):
+    def test_bit_identical_to_literal_evaluation(self, beta, msb_flipped, shared_tables):
+        # n = 1..16 runs every short-period factor (periods 2 and 4) and
+        # every row-broadcast one through both the built and the shared table
         for n in range(1, 17):
-            np.testing.assert_array_equal(
-                closed_form_probabilities(n, beta, msb_flipped),
-                literal_closed_form_probabilities(n, beta, msb_flipped),
-                err_msg=f"n={n}",
-            )
+            literal = literal_closed_form_probabilities(n, beta, msb_flipped).view(np.int64)
+            built = closed_form_probabilities(n, beta, msb_flipped)
+            shared = closed_form_probabilities(n, beta, msb_flipped, table=shared_tables[n])
+            np.testing.assert_array_equal(built.view(np.int64), literal, err_msg=f"n={n}")
+            np.testing.assert_array_equal(shared.view(np.int64), literal, err_msg=f"n={n}")
+
+    def test_table_of_the_wrong_size_rejected(self):
+        with pytest.raises(ValueError, match=r"must have shape \(16,\), got \(8,\)"):
+            closed_form_probabilities(4, 1.0, table=cosine_table(3))
+        with pytest.raises(ValueError, match="qubit count"):
+            closed_form_probabilities(0, 1.0, table=np.ones(1))
 
     @pytest.mark.parametrize("n", [1, 4, 8, 12])
     def test_normalization(self, n):

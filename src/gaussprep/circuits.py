@@ -21,6 +21,8 @@ if TYPE_CHECKING:
 # circuits than the simulator; gate counting stays cheap up to this cap.
 MAX_SYNTH_QUBITS = 4096
 
+HEURISTIC_FALLBACK_BETA = 2.5  # heuristic beta of a flat target, which has no width
+
 
 class GateKind(str, Enum):
     """The five primitive gate kinds used by every circuit in this package."""
@@ -230,6 +232,22 @@ def beta_from_lambda(decay_rate: float) -> float:
     return 5.0 / (2.0 * decay_rate)
 
 
+def heuristic_beta(decay_rate: float) -> float:
+    """The beta used when none is given: beta_from_lambda, or 2.5 for a flat
+    target (rate 0). A rate whose beta overflows or underflows to 0 is
+    rejected, naming the rate."""
+    if decay_rate == 0.0:
+        return HEURISTIC_FALLBACK_BETA
+    beta = beta_from_lambda(decay_rate)
+    if not math.isfinite(beta):
+        raise ValueError(f"lambda = {decay_rate!r} is too small: the heuristic beta = "
+                         f"5 / (2 * lambda) overflows to {beta}")
+    if beta == 0.0:
+        raise ValueError(f"lambda = {decay_rate!r} is too large: the heuristic beta = "
+                         f"5 / (2 * lambda) underflows to {beta}")
+    return beta
+
+
 def _check_synth_size(n: int) -> None:
     if n < 1:
         raise ValueError(f"qubit count must be >= 1, got {n}")
@@ -290,9 +308,10 @@ def build_gaussian_prep(
     beta_override: float | None = None,
 ) -> Circuit:
     """Full preparation circuit: exponential Ry layer, pruned QFT, then an X
-    on the highest qubit to align the peak with the center of the domain."""
+    on the highest qubit to align the peak with the center of the domain.
+    Without beta_override, beta is heuristic_beta(spec.decay_rate)."""
     _check_synth_size(n)
-    beta = beta_override if beta_override is not None else beta_from_lambda(spec.decay_rate)
+    beta = beta_override if beta_override is not None else heuristic_beta(spec.decay_rate)
     layer = build_exponential_layer(n, beta)
     qft = build_qft(n, policy)
     alignment = Circuit(n, (x(n - 1),))

@@ -38,9 +38,9 @@ import numpy as np
 from .circuits import (
     Circuit,
     PruningPolicy,
-    beta_from_lambda,
     build_gaussian_prep,
     count_gates,
+    heuristic_beta,
     pruned_cphase_count,
 )
 from .encoder import encode_exact
@@ -48,20 +48,16 @@ from .metrics import (
     MetricsReport,
     distribution_fidelity,
     fidelity,
-    kl_divergence,
     kl_divergence_from,
     laplace_smooth,
-    magnitude_fidelity,
-    mse,
-    mse_phase_optimized,
     pruning_fidelity_bound,
+    score_state,
 )
 from .reference import (
     GaussianSpec,
     TargetDistribution,
     closed_form_probabilities,
     cosine_table,
-    grid_points,
     target_distribution,
 )
 from .sampler import ShotHistogram
@@ -74,7 +70,6 @@ from .statevector import (
 from .statevector import probabilities as state_probabilities
 
 SMOOTHING_EPS = 1e-12
-HEURISTIC_FALLBACK_BETA = 2.5
 BETA_SEARCH_LO = 0.01
 BETA_SEARCH_HI = 10.0
 BETA_SEARCH_GRID = 61
@@ -213,10 +208,9 @@ def resolve_beta(n: int, decay_rate: float, beta_mode: BetaMode) -> float:
     """Turn a beta_mode into a concrete rotation-decay parameter.
 
     "calibrated" leaves the decay rate to calibrate_beta. Otherwise a
-    negative or non-finite rate is rejected, and the heuristic is
-    beta_from_lambda, falling back to 2.5 for a flat target (rate 0); a rate
-    so small that the heuristic beta overflows, or so large that it
-    underflows to 0, is rejected too, naming the rate.
+    negative or non-finite rate is rejected, and "heuristic" is
+    circuits.heuristic_beta, the rule build_gaussian_prep applies when it
+    is given no beta.
     """
     _validate_beta_mode(beta_mode)
     if beta_mode == "calibrated":
@@ -224,16 +218,7 @@ def resolve_beta(n: int, decay_rate: float, beta_mode: BetaMode) -> float:
     GaussianSpec(decay_rate=decay_rate)  # rejects a negative or non-finite rate
     if beta_mode != "heuristic":
         return float(beta_mode)
-    if decay_rate == 0.0:
-        return HEURISTIC_FALLBACK_BETA
-    beta = beta_from_lambda(decay_rate)
-    if not math.isfinite(beta):
-        raise ValueError(f"lambda = {decay_rate!r} is too small: the heuristic beta = "
-                         f"5 / (2 * lambda) overflows to {beta}")
-    if beta == 0.0:
-        raise ValueError(f"lambda = {decay_rate!r} is too large: the heuristic beta = "
-                         f"5 / (2 * lambda) underflows to {beta}")
-    return beta
+    return heuristic_beta(decay_rate)
 
 
 def gaussian_circuit(n: int, beta: float, delta: float) -> Circuit:
@@ -249,13 +234,6 @@ def _simulate(circuit: Circuit) -> StateVector:
     return state
 
 
-def _score(target: TargetDistribution, state: StateVector,
-           prepared_probs: np.ndarray) -> tuple[float, float, float]:
-    """Amplitude MSE, prepared-to-target KL and magnitude fidelity of a state."""
-    return (mse(target.amplitudes, state), kl_divergence(prepared_probs, target.probabilities),
-            magnitude_fidelity(target.amplitudes, state))
-
-
 def run_prepare(
     n: int,
     decay_rate: float = 1.0,
@@ -269,30 +247,18 @@ def run_prepare(
     beta = resolve_beta(n, decay_rate, beta_mode)
     circuit = gaussian_circuit(n, beta, delta)
     state = _simulate(circuit)
-    prepared_probs = state_probabilities(state)
     target = target_distribution(spec, n)
     inventory = count_gates(circuit, num_pruned_cphase=pruned_cphase_count(n, PruningPolicy(delta)))
-    target_state = StateVector(n, target.amplitudes.astype(np.complex128))
-    amplitude_mse, kl, magnitude = _score(target, state, prepared_probs)
+    score = score_state(target, state)
     report = MetricsReport(
-        n=n,
-        decay_rate=decay_rate,
-        beta=beta,
-        delta=delta,
-        mse_amplitude=amplitude_mse,
-        mse_phase_optimized=mse_phase_optimized(target.amplitudes, state),
-        kl_divergence=kl,
-        fidelity=magnitude,
-        fidelity_phase_sensitive=fidelity(target_state, state),
-        fidelity_bound=pruning_fidelity_bound(n, delta),
-        inventory=inventory,
+        n=n, decay_rate=decay_rate, beta=beta, delta=delta, mse_amplitude=score.mse,
+        mse_phase_optimized=score.mse_phase_optimized, kl_divergence=score.kl_divergence,
+        fidelity=score.fidelity, fidelity_phase_sensitive=score.fidelity_phase_sensitive,
+        fidelity_bound=pruning_fidelity_bound(n, delta), inventory=inventory,
     )
-    return PrepareResult(
-        report=report,
-        grid=grid_points(n, spec).points,
-        target_probabilities=target.probabilities,
-        prepared_probabilities=prepared_probs,
-    )
+    return PrepareResult(report=report, grid=target.points,
+                         target_probabilities=target.probabilities,
+                         prepared_probabilities=score.probabilities)
 
 
 class _Run(NamedTuple):
@@ -313,9 +279,9 @@ def _timed_run(build) -> _Run:
 def _measured(run: _Run, target: TargetDistribution) -> dict[str, object]:
     """The sweep columns measured on a simulated state."""
     inventory = count_gates(run.circuit)
-    amplitude_mse, kl, magnitude = _score(target, run.state, state_probabilities(run.state))
-    return dict(gate_total=inventory.total, cphase_count=inventory.cphase, mse=amplitude_mse,
-                kl=kl, wall_time_ms=run.wall_ms, fidelity_target=magnitude)
+    score = score_state(target, run.state)
+    return dict(gate_total=inventory.total, cphase_count=inventory.cphase, mse=score.mse,
+                kl=score.kl_divergence, wall_time_ms=run.wall_ms, fidelity_target=score.fidelity)
 
 
 def _gaussian_row(n: int, delta: float, beta: float, target: TargetDistribution,
@@ -335,11 +301,14 @@ def _gaussian_row(n: int, delta: float, beta: float, target: TargetDistribution,
                     method="gaussian", **_measured(run, target))
 
 
-def _gaussian_rows(n: int, config: SweepConfig) -> list[SweepRow]:
-    """One row per threshold; the full-QFT circuit is simulated once."""
+def _gaussian_rows(n: int, config: SweepConfig,
+                   target: TargetDistribution | Exception) -> list[SweepRow]:
+    """One row per threshold; the full-QFT circuit is simulated once. A
+    failed beta is reported before a failed target."""
     try:
         beta = resolve_beta(n, config.decay_rate, config.beta_mode)
-        target = target_distribution(GaussianSpec(decay_rate=config.decay_rate), n)
+        if isinstance(target, Exception):
+            raise target
         full = _timed_run(lambda: gaussian_circuit(n, beta, 0.0))
     except Exception as exc:
         return [_error_row(n, delta, "gaussian", exc) for delta in config.delta_values]
@@ -352,8 +321,9 @@ def _gaussian_rows(n: int, config: SweepConfig) -> list[SweepRow]:
     return rows
 
 
-def _baseline_row(n: int, decay_rate: float) -> SweepRow:
-    target = target_distribution(GaussianSpec(decay_rate=decay_rate), n)
+def _baseline_row(n: int, target: TargetDistribution | Exception) -> SweepRow:
+    if isinstance(target, Exception):
+        raise target
     measured = _measured(_timed_run(lambda: encode_exact(target.amplitudes, n)), target)
     return SweepRow(n=n, delta=None, beta=None, pruned_count=0,
                     fidelity=measured["fidelity_target"], fidelity_bound=None,
@@ -368,16 +338,21 @@ def _error_row(n: int, delta: float | None, method: str, exc: Exception) -> Swee
 def run_sweep(config: SweepConfig) -> list[SweepRow]:
     """Evaluate every (n, delta) cell plus optional per-n baseline rows.
 
-    A failing cell contributes a row with the error column set instead of
-    aborting the sweep. Rows are sorted by (n, method, delta) so output order
-    never depends on evaluation order.
+    Each n's target is built once, for its Gaussian rows and its baseline
+    row. A failing cell contributes a row with the error column set instead
+    of aborting the sweep. Rows are sorted by (n, method, delta) so output
+    order never depends on evaluation order.
     """
     rows: list[SweepRow] = []
     for n in config.n_values:
-        rows += _gaussian_rows(n, config)
+        try:
+            target = target_distribution(GaussianSpec(decay_rate=config.decay_rate), n)
+        except Exception as exc:
+            target = exc  # each row of this n that needs the target reports it
+        rows += _gaussian_rows(n, config, target)
         if config.include_baseline:
             try:
-                rows.append(_baseline_row(n, config.decay_rate))
+                rows.append(_baseline_row(n, target))
             except Exception as exc:
                 rows.append(_error_row(n, None, "baseline", exc))
     rows.sort(key=lambda r: (r.n, 0 if r.method == "gaussian" else 1,

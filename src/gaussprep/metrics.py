@@ -8,11 +8,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .circuits import GateInventory
+from .reference import TargetDistribution
 from .statevector import StateVector, inner_product
 
 
@@ -20,17 +21,11 @@ from .statevector import StateVector, inner_product
 class MetricsReport:
     """All metrics for one prepared configuration, with the config echoed.
 
-    fidelity compares amplitude magnitudes against the real target amplitudes
-    (the prepared state carries transform phases that are irrelevant to the
-    measured distribution); fidelity_phase_sensitive is the raw overlap
-    |<target|state>|^2 kept for diagnostics.
-
-    kl_divergence runs from the prepared distribution to the target. The
-    circuit family places exactly zero probability on one basis state for
-    every decay parameter, so the opposite direction is +inf under exact
-    arithmetic; prepared-to-target is the direction that stays finite (the
-    target is everywhere positive) and the one any empirical-histogram
-    comparison computes.
+    The five scores are score_state's. fidelity compares magnitudes (the
+    transform's per-index phases leave the measured distribution alone);
+    fidelity_phase_sensitive is the raw overlap, kept for diagnostics;
+    kl_divergence runs from the prepared distribution to the target, the
+    direction that stays finite (see the harness conventions).
     """
 
     n: int
@@ -57,27 +52,47 @@ def _check_same_length(a: np.ndarray, b: np.ndarray) -> None:
         raise ValueError(f"length mismatch: {a.shape} vs {b.shape}")
 
 
-def mse(target_amplitudes: np.ndarray, state: StateVector) -> float:
-    """(1/2^n) * sum_k (t_k - |a_k|)^2: mean squared error between the real
-    target amplitudes and the prepared amplitude magnitudes."""
-    target = np.asarray(target_amplitudes, dtype=np.float64)
-    mags = np.abs(state.amplitudes)
-    _check_same_length(target, mags)
-    return float(np.mean((target - mags) ** 2))
+class StateScore(NamedTuple):
+    """Scores of a prepared state a against the real target amplitudes t:
 
-
-def mse_phase_optimized(target_amplitudes: np.ndarray, state: StateVector) -> float:
-    """Complex-amplitude MSE minimized over a global phase of the state:
-
-        min_gamma (1/2^n) * sum_k |t_k - e^(i*gamma) a_k|^2
-          = (sum t^2 + sum |a|^2 - 2|<t|a>|) / 2^n
+    probabilities             |a_k|^2, as statevector.probabilities
+    mse                       (1/2^n) * sum_k (t_k - |a_k|)^2
+    mse_phase_optimized       min over a global phase gamma of
+                              (1/2^n) * sum_k |t_k - e^(i*gamma) a_k|^2
+                              = (sum t^2 + sum |a|^2 - 2|<t|a>|) / 2^n
+    kl_divergence             kl_divergence(|a|^2, target probabilities)
+    fidelity                  magnitude_fidelity: (sum_k t_k * |a_k|)^2
+    fidelity_phase_sensitive  |<t|a>|^2, as fidelity() with t as a state
     """
-    target = np.asarray(target_amplitudes, dtype=np.float64)
+
+    probabilities: np.ndarray
+    mse: float
+    mse_phase_optimized: float
+    kl_divergence: float
+    fidelity: float
+    fidelity_phase_sensitive: float
+
+
+def score_state(target: TargetDistribution, state: StateVector) -> StateScore:
+    """Score a state in one pass: |a| is taken once and squared in place into
+    the probabilities, and the one overlap <t|a> is taken on the real target.
+    Each field is the expression of the function named in StateScore,
+    evaluated in the same order, so it has the same bits."""
+    target_amplitudes = np.asarray(target.amplitudes, dtype=np.float64)
     amps = state.amplitudes
-    _check_same_length(target, np.abs(amps))
-    overlap = abs(np.vdot(target.astype(np.complex128), amps))
-    total = float(np.sum(target**2) + np.sum(np.abs(amps) ** 2) - 2.0 * overlap)
-    return max(total, 0.0) / target.shape[0]
+    _check_same_length(target_amplitudes, amps)
+    magnitudes = np.abs(amps)
+    amplitude_mse = float(np.mean((target_amplitudes - magnitudes) ** 2))
+    magnitude = float(np.dot(target_amplitudes, magnitudes) ** 2)
+    probs = np.square(magnitudes, out=magnitudes)
+    overlap = complex(np.vdot(target_amplitudes, amps))
+    total = float(np.sum(target_amplitudes**2) + np.sum(probs) - 2.0 * abs(overlap))
+    return StateScore(
+        probabilities=probs, mse=amplitude_mse,
+        mse_phase_optimized=max(total, 0.0) / target_amplitudes.shape[0],
+        kl_divergence=kl_divergence(probs, target.probabilities), fidelity=magnitude,
+        fidelity_phase_sensitive=abs(overlap) ** 2,
+    )
 
 
 def kl_divergence(p: np.ndarray, q: np.ndarray) -> float:
@@ -112,7 +127,14 @@ def kl_divergence_from(p: np.ndarray) -> Callable[[np.ndarray], float]:
             raise ValueError("probabilities must be non-negative")
         if np.any(q[support] == 0.0):
             return math.inf
-        return float(np.sum(p_support * np.log(p_support / q[support])))
+        with np.errstate(over="ignore"):  # p_x / q_x overflows where q_x is subnormal
+            log_ratio = np.log(p_support / q[support])
+        divergence = float(np.sum(p_support * log_ratio))
+        if math.isinf(divergence):  # only overflowed terms become ln p_x - ln q_x
+            overflowed = np.isinf(log_ratio)
+            log_ratio[overflowed] = np.log(p_support[overflowed]) - np.log(q[support][overflowed])
+            divergence = float(np.sum(p_support * log_ratio))
+        return divergence
 
     return kl_to
 

@@ -40,43 +40,39 @@ class GaussianSpec:
 
 
 @dataclass(frozen=True)
-class Grid:
-    """2**n equally spaced points covering [domain_lo, domain_hi), hi excluded."""
-
-    n: int
-    points: np.ndarray
-
-
-@dataclass(frozen=True)
 class TargetDistribution:
-    """Ideal discrete Gaussian: probabilities G(x_k) and amplitudes sqrt(G(x_k))."""
+    """Ideal discrete Gaussian on its grid: the points x_k, the probabilities
+    G(x_k) and the amplitudes sqrt(G(x_k))."""
 
+    points: np.ndarray
     probabilities: np.ndarray
     amplitudes: np.ndarray
 
 
-def grid_points(n: int, spec: GaussianSpec = GaussianSpec()) -> Grid:
-    """x_k = domain_lo + k * (domain_hi - domain_lo) / 2**n for k = 0..2**n - 1."""
+def grid_points(n: int, spec: GaussianSpec = GaussianSpec()) -> np.ndarray:
+    """x_k = domain_lo + k * (domain_hi - domain_lo) / 2**n for k = 0..2**n - 1:
+    2**n equally spaced points covering [domain_lo, domain_hi), hi excluded."""
     if n < 1:
         raise ValueError(f"qubit count must be >= 1, got {n}")
     step = (spec.domain_hi - spec.domain_lo) / 2.0**n
-    return Grid(n, spec.domain_lo + step * np.arange(2**n))
+    return spec.domain_lo + step * np.arange(2**n)
 
 
 def target_distribution(spec: GaussianSpec, n: int) -> TargetDistribution:
-    """G(x_k) = e^(-decay_rate*x_k^2) normalized over the grid.
+    """G(x_k) = e^(-decay_rate*x_k^2) normalized over the grid, which the
+    result carries as `points`.
 
     Normalization subtracts the maximum exponent first so very large decay
     rates cannot underflow every weight at once.
     """
-    grid = grid_points(n, spec)
+    points = grid_points(n, spec)
     # A huge rate overflows the exponent to -inf, whose weight e^-inf = 0 is
     # the correct limit, so the overflow is not worth a warning.
     with np.errstate(over="ignore"):
-        exponents = -spec.decay_rate * grid.points**2
+        exponents = -spec.decay_rate * points**2
     weights = np.exp(exponents - exponents.max())
     probs = weights / weights.sum()
-    return TargetDistribution(probabilities=probs, amplitudes=np.sqrt(probs))
+    return TargetDistribution(points=points, probabilities=probs, amplitudes=np.sqrt(probs))
 
 
 def _check_qubits(n: int) -> None:

@@ -1,17 +1,13 @@
-"""Shot-based measurement simulation: draw basis-state samples from a state
-(or an explicit probability vector) with a seeded PCG64 generator, and
-compare empirical frequencies against exact probabilities.
+"""Shot-based measurement simulation: draw basis-state samples from a
+probability vector with a seeded PCG64 generator, and compare empirical
+frequencies against exact probabilities.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
-
-from .statevector import StateVector
-from .statevector import probabilities as state_probabilities
 
 
 @dataclass(frozen=True)
@@ -49,20 +45,12 @@ class ShotHistogram:
         return self.counts / float(self.shots)
 
 
-def sample_counts(
-    state: Union[StateVector, np.ndarray], shots: int, seed: int
-) -> ShotHistogram:
-    """Draw independent basis-state samples by inverse-CDF lookup.
-
-    Accepts either a StateVector (sampling its measurement distribution) or
-    a probability vector directly. The generator is PCG64 seeded with the
-    given integer, so identical (state, shots, seed) triples reproduce
-    identical histograms on any platform.
-    """
-    if isinstance(state, StateVector):
-        probs = state_probabilities(state)
-    else:
-        probs = np.asarray(state, dtype=np.float64)
+def sample_counts(probs: np.ndarray, shots: int, seed: int) -> ShotHistogram:
+    """Draw independent basis-state samples from a probability vector by
+    inverse-CDF lookup. The generator is PCG64 seeded with the given integer,
+    so identical (probs, shots, seed) triples give identical histograms on
+    any platform."""
+    probs = np.asarray(probs, dtype=np.float64)
     if probs.ndim != 1 or probs.size < 2 or (probs.size & (probs.size - 1)) != 0:
         raise ValueError(
             f"probabilities must have power-of-two length >= 2, got shape {probs.shape}"

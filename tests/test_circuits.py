@@ -5,6 +5,7 @@ from __future__ import annotations
 import copy
 import math
 import pickle
+import re
 import tracemalloc
 
 import numpy as np
@@ -26,14 +27,17 @@ from gaussprep import (
     cphase,
     full_cphase_count,
     h,
+    heuristic_beta,
     kept_cphase_count,
     pruned_cphase_count,
+    resolve_beta,
     rotation_angle,
     ry,
     swap,
     x,
 )
-from gaussprep.circuits import MAX_SYNTH_QUBITS
+from gaussprep.circuits import HEURISTIC_FALLBACK_BETA, MAX_SYNTH_QUBITS
+from gaussprep.harness import gaussian_circuit
 
 ROTATION_J1_BETA25 = 0.16380275785874288  # 2*atan(exp(-2.5)), frozen scalar oracle
 
@@ -193,6 +197,21 @@ class TestBetaFromLambda:
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
             beta_from_lambda(0.0)
+
+
+class TestHeuristicBeta:
+    def test_follows_beta_from_lambda(self):
+        assert heuristic_beta(1.0) == beta_from_lambda(1.0) == 2.5
+        assert heuristic_beta(0.3) == beta_from_lambda(0.3)
+
+    def test_flat_target_falls_back(self):
+        assert heuristic_beta(0.0) == HEURISTIC_FALLBACK_BETA == 2.5
+
+    def test_overflow_and_underflow_refused_by_rate(self):
+        with pytest.raises(ValueError, match=r"^lambda = 1e-320 is too small: .*overflows to inf$"):
+            heuristic_beta(1e-320)
+        with pytest.raises(ValueError, match=r"^lambda = 1e\+308 is too large: .*underflows to 0\.0$"):
+            heuristic_beta(1e308)
 
 
 class TestExponentialLayer:
@@ -370,6 +389,18 @@ class TestBuildGaussianPrep:
             + Circuit(8, (x(7),))
         )
         assert circuit.gates == expected.gates
+
+    @pytest.mark.parametrize("decay_rate", [0.0, 0.3, 1.0, 2.0])
+    def test_default_beta_is_the_heuristic_of_resolve_beta(self, decay_rate):
+        # a flat target included: both paths fall back to the same beta
+        beta = resolve_beta(5, decay_rate, "heuristic")
+        circuit = build_gaussian_prep(5, GaussianSpec(decay_rate=decay_rate), PruningPolicy(0.1))
+        assert circuit.gates == gaussian_circuit(5, beta, 0.1).gates
+
+    @pytest.mark.parametrize("decay_rate, message", [(1e-320, "too small"), (1e308, "too large")])
+    def test_unusable_heuristic_beta_names_the_rate(self, decay_rate, message):
+        with pytest.raises(ValueError, match=re.escape(f"lambda = {decay_rate!r} is {message}: ")):
+            build_gaussian_prep(4, GaussianSpec(decay_rate=decay_rate))
 
     def test_beta_override_wins(self):
         circuit = build_gaussian_prep(2, GaussianSpec(decay_rate=1.0), beta_override=0.7)

@@ -7,6 +7,7 @@ import contextlib
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -222,6 +223,15 @@ class TestSample:
         summary = json.loads(capsys.readouterr().out)
         assert "kl_target_to_empirical_smoothed" in summary
         assert isinstance(summary["kl_target_to_empirical_smoothed"], float)
+
+    def test_subnormal_smoothing_gives_a_finite_kl_without_a_warning(self):
+        # every shot misses one bin, so its smoothed frequency is subnormal
+        # and p / q overflows there; the divergence itself is finite
+        done = TestModuleEntryPoint.run_module("gaussprep", "sample", "-n", "4",
+                                               "--smoothing", "1e-320")
+        assert done.returncode == 0 and done.stderr == ""
+        kl = json.loads(done.stdout)["kl_target_to_empirical_smoothed"]
+        assert isinstance(kl, float) and math.isfinite(kl) and kl > 0.0
 
     def test_histogram_csv(self, tmp_path, capsys):
         path = tmp_path / "hist.csv"

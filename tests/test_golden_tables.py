@@ -4,10 +4,15 @@ The files under tests/golden/ were written by the implementation that had
 one scoring function per row kind and one writer per table; the single
 scoring path and table emitter that replaced them must leave every byte
 unchanged except the `wall_time_ms` cells, which are masked on both sides.
+The n = 12 and n = 18 `prepare` pins were written by the implementation
+that scored a state with one function per metric, a complex copy of the
+target and a second grid; the one-pass scorer must leave them unchanged.
+The 41 MB n = 18 distribution dump is pinned by its SHA-256.
 """
 
 from __future__ import annotations
 
+import hashlib
 import re
 from pathlib import Path
 
@@ -72,3 +77,26 @@ def test_prepare_stdout_and_distribution_files(tmp_path, capsys):
     )
     assert code == 0 and stdout == expected_stdout
     assert json_path.read_bytes() == (GOLDEN / "prepare_n6.json").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "stem, argv, json_sha256",
+    [
+        ("prepare_n12", ["prepare", "-n", "12"], None),
+        ("prepare_n18_delta0", ["prepare", "-n", "18", "--delta", "0"],
+         "51d1f9807cb33840fc64a735abbab1547d1cfe8d48fb594098029768b6ab3c6a"),
+    ],
+    ids=["n12", "n18-delta0"],
+)
+def test_prepare_report_and_json_dump(stem, argv, json_sha256, tmp_path, capsys):
+    expected_stdout = (GOLDEN / f"{stem}.stdout").read_text(encoding="utf-8")
+    code, stdout, stderr = run_cli(argv, capsys)
+    assert code == 0 and stderr == "" and stdout == expected_stdout
+
+    json_path = tmp_path / "distribution.json"
+    code, stdout, _ = run_cli(argv + ["--format", "json", "--out", str(json_path)], capsys)
+    assert code == 0 and stdout == expected_stdout
+    if json_sha256 is None:
+        assert json_path.read_bytes() == (GOLDEN / f"{stem}.json").read_bytes()
+    else:
+        assert hashlib.sha256(json_path.read_bytes()).hexdigest() == json_sha256

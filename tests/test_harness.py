@@ -7,6 +7,7 @@ import csv
 import io
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -78,6 +79,19 @@ class TestRunPrepare:
         pruned = run_prepare(12, decay_rate=1.0, delta=0.0123)
         allowance = 1.0 - pruning_fidelity_bound(12, 0.0123)
         assert abs(full.report.fidelity - pruned.report.fidelity) <= allowance
+
+    def test_peak_memory_at_18_qubits(self):
+        # the state, the target with its grid, the probabilities and the
+        # KL temporaries: at most 4.6 states (5.07 with per-metric scoring)
+        n = 18
+        run_prepare(n)
+        tracemalloc.start()
+        try:
+            run_prepare(n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4.6 * (16 << n)
 
     def test_invalid_arguments_rejected(self):
         with pytest.raises(ValueError):
@@ -263,6 +277,42 @@ class TestRunSweep:
         assert len(rows) == 21 and all(row.error is None for row in rows)
         assert len(simulated) == 16
         assert len(set(simulated)) == 16
+
+    def test_each_target_is_built_once(self, monkeypatch):
+        built = []
+        real_target = harness.target_distribution
+
+        def recording_target(spec, n):
+            built.append(n)
+            return real_target(spec, n)
+
+        monkeypatch.setattr(harness, "target_distribution", recording_target)
+        rows = run_sweep(SweepConfig(n_values=(3, 4, 5), delta_values=(0.0, 0.1),
+                                     include_baseline=True))
+        assert len(rows) == 9 and all(row.error is None for row in rows)
+        assert built == [3, 4, 5]
+
+    @pytest.mark.parametrize("beta_mode, gaussian_error", [
+        ("heuristic", "decay_rate must be finite and >= 0, got -1.0"),
+        (0.7, "decay_rate must be finite and >= 0, got -1.0"),
+        ("calibrated", "calibration requires a positive decay rate: "
+                       "a flat target has no width to match"),
+    ])
+    def test_failed_target_rows(self, beta_mode, gaussian_error):
+        # a Gaussian row names its beta's failure before its target's; the
+        # baseline row needs only the target
+        rows = run_sweep(SweepConfig(n_values=(2, 3), delta_values=(0.0, 0.1), decay_rate=-1.0,
+                                     beta_mode=beta_mode, include_baseline=True))
+        assert [(row.method, row.error) for row in rows] == [
+            ("gaussian", gaussian_error), ("gaussian", gaussian_error),
+            ("baseline", "decay_rate must be finite and >= 0, got -1.0"),
+        ] * 2
+
+    def test_failed_beta_leaves_the_baseline_row(self):
+        rows = run_sweep(SweepConfig(n_values=(3,), delta_values=(0.0,), decay_rate=1e-320,
+                                     include_baseline=True))
+        assert rows[0].error.startswith("lambda = 1e-320 is too small")
+        assert rows[1].method == "baseline" and rows[1].error is None
 
     def test_pruned_fidelity_compares_with_the_full_circuit(self):
         (full_row, pruned_row) = run_sweep(SweepConfig(n_values=(11,), delta_values=(0.0, 0.1)))

@@ -1,10 +1,12 @@
-"""Accuracy metrics: amplitude MSE, KL divergence, smoothing, the fidelity
-family, and the analytic pruning fidelity bound."""
+"""Accuracy metrics: the state scorer (amplitude MSE, phase-optimized MSE,
+KL divergence, magnitude and phase-sensitive fidelity), KL divergence,
+smoothing, the fidelity family, and the analytic pruning fidelity bound."""
 
 from __future__ import annotations
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -16,18 +18,21 @@ from gaussprep import (
     GaussianSpec,
     MetricsReport,
     StateVector,
+    TargetDistribution,
     distribution_fidelity,
+    apply_circuit,
     fidelity,
     kl_divergence,
     kl_divergence_from,
     laplace_smooth,
     magnitude_fidelity,
-    mse,
-    mse_phase_optimized,
     new_zero_state,
+    probabilities,
     pruning_fidelity_bound,
+    score_state,
     target_distribution,
 )
+from gaussprep.harness import gaussian_circuit
 
 # pruning_fidelity_bound at (n=16, delta=0.0123), written out by hand:
 # loose 1 - (16*0.0123)^2/4, tight 1 - (15*0.0123)^2/4.
@@ -76,53 +81,130 @@ class TestMetricsReport:
         assert make_report(kl_divergence=math.inf).kl_divergence == math.inf
 
 
+def target_of(amplitudes) -> TargetDistribution:
+    """A target with the given real amplitudes, on the grid 0, 1, 2, ..."""
+    amplitudes = np.asarray(amplitudes, dtype=np.float64)
+    return TargetDistribution(points=np.arange(amplitudes.size, dtype=np.float64),
+                              probabilities=amplitudes**2, amplitudes=amplitudes)
+
+
+def state_of(amplitudes) -> StateVector:
+    amplitudes = np.asarray(amplitudes, dtype=np.complex128)
+    return StateVector(amplitudes.size.bit_length() - 1, amplitudes)
+
+
+def literal_mse(target_amplitudes, state):
+    """The amplitude MSE as its own function, taking |a| afresh."""
+    return float(np.mean((target_amplitudes - np.abs(state.amplitudes)) ** 2))
+
+
+def literal_mse_phase_optimized(target_amplitudes, state):
+    """The phase-optimized MSE as its own function, on a complex copy of the
+    target."""
+    amps = state.amplitudes
+    overlap = abs(np.vdot(target_amplitudes.astype(np.complex128), amps))
+    total = float(np.sum(target_amplitudes**2) + np.sum(np.abs(amps) ** 2) - 2.0 * overlap)
+    return max(total, 0.0) / target_amplitudes.shape[0]
+
+
 class TestMse:
     def test_exact_match_is_zero(self):
-        target = np.array([0.6, 0.8])
-        state = new_zero_state(1)
-        state.amplitudes[:] = [0.6, 0.8]
-        assert mse(target, state) == 0.0
+        assert score_state(target_of([0.6, 0.8]), state_of([0.6, 0.8])).mse == 0.0
 
     def test_orthogonal_point_masses(self):
         # target (1,0) against |1>: both entries differ by 1, mean is 1
-        target = np.array([1.0, 0.0])
-        state = new_zero_state(1)
-        state.amplitudes[:] = [0.0, 1.0]
-        assert mse(target, state) == pytest.approx(1.0)
+        assert score_state(target_of([1.0, 0.0]), state_of([0.0, 1.0])).mse == pytest.approx(1.0)
 
     def test_compares_magnitudes_not_phases(self):
-        target = np.array([0.6, 0.8])
-        state = new_zero_state(1)
-        state.amplitudes[:] = [0.6, -0.8]
-        assert mse(target, state) == pytest.approx(0.0, abs=1e-15)
+        score = score_state(target_of([0.6, 0.8]), state_of([0.6, -0.8]))
+        assert score.mse == pytest.approx(0.0, abs=1e-15)
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            mse(np.array([1.0, 0.0, 0.0]), new_zero_state(1))
+            score_state(target_of([1.0, 0.0, 0.0]), new_zero_state(1))
 
 
 class TestMsePhaseOptimized:
     def test_global_phase_removed(self):
         target = np.array([0.6, 0.8])
-        state = new_zero_state(1)
-        state.amplitudes[:] = np.exp(0.7j) * target
-        assert mse_phase_optimized(target, state) == pytest.approx(0.0, abs=1e-15)
+        score = score_state(target_of(target), state_of(np.exp(0.7j) * target))
+        assert score.mse_phase_optimized == pytest.approx(0.0, abs=1e-15)
 
     def test_relative_phase_still_counts(self):
-        target = np.array([0.6, 0.8])
-        state = new_zero_state(1)
-        state.amplitudes[:] = [0.6, -0.8]
-        assert mse_phase_optimized(target, state) > 0.1
+        score = score_state(target_of([0.6, 0.8]), state_of([0.6, -0.8]))
+        assert score.mse_phase_optimized > 0.1
 
     def test_never_exceeds_plain_complex_mse(self):
         rng = np.random.default_rng(11)
         target = rng.random(8)
         target /= np.linalg.norm(target)
-        state = new_zero_state(3)
         amps = rng.normal(size=8) + 1j * rng.normal(size=8)
-        state.amplitudes[:] = amps / np.linalg.norm(amps)
+        state = state_of(amps / np.linalg.norm(amps))
         plain = float(np.mean(np.abs(target - state.amplitudes) ** 2))
-        assert mse_phase_optimized(target, state) <= plain + 1e-15
+        assert score_state(target_of(target), state).mse_phase_optimized <= plain + 1e-15
+
+
+def same_bits(a: float, b: float) -> bool:
+    # float.hex tells 0.0 from -0.0: equal hex strings are equal bits
+    return float(a).hex() == float(b).hex()
+
+
+def gaussian_state(n: int, beta: float, delta: float) -> StateVector:
+    state = new_zero_state(n)
+    apply_circuit(state, gaussian_circuit(n, beta, delta))
+    return state
+
+
+class TestScoreState:
+    """Every field of the one-pass scorer has the bits of the function that
+    computes it on its own."""
+
+    CASES = [(n, beta, delta) for n in (1, 2, 5, 9, 12)
+             for beta, delta in ((2.5, 0.0), (0.7, 0.0123), (1.47, 0.1))]
+
+    @pytest.mark.parametrize("n, beta, delta", CASES)
+    def test_gaussian_states_bit_identical(self, n, beta, delta):
+        target = target_distribution(GaussianSpec(decay_rate=1.0), n)
+        state = gaussian_state(n, beta, delta)
+        amplitudes = state.amplitudes.copy()
+        score = score_state(target, state)
+        expected_probs = probabilities(state)
+        assert score.probabilities.dtype == expected_probs.dtype
+        np.testing.assert_array_equal(score.probabilities.view(np.int64),
+                                      expected_probs.view(np.int64))
+        assert same_bits(score.fidelity, magnitude_fidelity(target.amplitudes, state))
+        target_state = StateVector(n, target.amplitudes.astype(np.complex128))
+        assert same_bits(score.fidelity_phase_sensitive, fidelity(target_state, state))
+        assert same_bits(score.kl_divergence,
+                         kl_divergence(expected_probs, target.probabilities))
+        assert same_bits(score.mse, literal_mse(target.amplitudes, state))
+        assert same_bits(score.mse_phase_optimized,
+                         literal_mse_phase_optimized(target.amplitudes, state))
+        # the scorer reads the state and leaves it as it was
+        np.testing.assert_array_equal(state.amplitudes, amplitudes)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_random_complex_states_bit_identical(self, seed):
+        rng = np.random.default_rng(seed)
+        target_amplitudes = rng.random(16)
+        target_amplitudes /= np.linalg.norm(target_amplitudes)
+        target = target_of(target_amplitudes)
+        amps = rng.normal(size=16) + 1j * rng.normal(size=16)
+        state = state_of(amps / np.linalg.norm(amps))
+        score = score_state(target, state)
+        np.testing.assert_array_equal(score.probabilities, probabilities(state))
+        assert same_bits(score.fidelity, magnitude_fidelity(target_amplitudes, state))
+        assert same_bits(score.fidelity_phase_sensitive,
+                         fidelity(state_of(target_amplitudes), state))
+        assert same_bits(score.mse, literal_mse(target_amplitudes, state))
+        assert same_bits(score.mse_phase_optimized,
+                         literal_mse_phase_optimized(target_amplitudes, state))
+
+    def test_kl_runs_from_prepared_to_target(self):
+        # the prepared state has no mass on index 1; the target has: finite
+        score = score_state(target_of([0.6, 0.8]), state_of([1.0, 0.0]))
+        assert score.kl_divergence == pytest.approx(-math.log(0.36), rel=1e-12)
+        assert score_state(target_of([1.0, 0.0]), state_of([0.6, 0.8])).kl_divergence == math.inf
 
 
 class TestKlDivergence:
@@ -150,6 +232,20 @@ class TestKlDivergence:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
             kl_divergence(np.array([1.0]), np.array([0.5, 0.5]))
+
+    def test_subnormal_q_gives_a_finite_value_without_a_warning(self):
+        # 0.5 / 1e-320 overflows a double; 0.5 * ln(0.5 / 1e-320) does not
+        p = np.array([0.25, 0.25, 0.5])
+        q = np.array([0.5, 0.5, 1e-320])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value = kl_divergence(p, q)
+        log_ratio = np.log(np.array([0.25, 0.25, 0.5]) / np.array([0.5, 0.5, 1.0]))
+        log_ratio[2] = (np.log(np.array([0.5])) - np.log(np.array([1e-320])))[0]
+        expected = float(np.sum(p * log_ratio))
+        assert math.isfinite(value) and same_bits(value, expected)
+        # 1e-320 is a subnormal with about five significant digits
+        assert value == pytest.approx(math.log(0.5) + 0.5 * 320 * math.log(10.0), rel=1e-6)
 
     @given(st.integers(min_value=1, max_value=500))
     def test_nonnegative_on_random_pairs(self, seed):
@@ -362,7 +458,7 @@ class TestMetricCoherence:
         noisy /= np.linalg.norm(noisy)
         state = new_zero_state(n)
         state.amplitudes[:] = noisy
-        amplitude_mse = mse(target, state)
+        amplitude_mse = score_state(target_of(target), state).mse
         assert amplitude_mse <= 1e-6
         assert magnitude_fidelity(target, state) >= 1.0 - 2 ** (n - 1) * amplitude_mse * 2
         assert magnitude_fidelity(target, state) >= 0.999

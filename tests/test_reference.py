@@ -41,21 +41,25 @@ class TestGaussianSpec:
 
 class TestGridPoints:
     def test_two_qubits_default_domain(self):
-        np.testing.assert_array_equal(grid_points(2).points, [-2.0, -1.0, 0.0, 1.0])
+        np.testing.assert_array_equal(grid_points(2), [-2.0, -1.0, 0.0, 1.0])
 
     def test_one_qubit_default_domain(self):
-        np.testing.assert_array_equal(grid_points(1).points, [-2.0, 0.0])
+        np.testing.assert_array_equal(grid_points(1), [-2.0, 0.0])
 
     def test_eight_qubit_spacing(self):
-        grid = grid_points(8)
-        assert grid.points.size == 256
-        np.testing.assert_allclose(np.diff(grid.points), 0.015625, rtol=1e-12)
-        assert grid.points[0] == -2.0
-        assert grid.points[-1] == pytest.approx(2.0 - 0.015625)
+        points = grid_points(8)
+        assert points.size == 256
+        np.testing.assert_allclose(np.diff(points), 0.015625, rtol=1e-12)
+        assert points[0] == -2.0
+        assert points[-1] == pytest.approx(2.0 - 0.015625)
 
     def test_custom_domain(self):
-        grid = grid_points(1, GaussianSpec(domain_lo=0.0, domain_hi=8.0))
-        np.testing.assert_array_equal(grid.points, [0.0, 4.0])
+        points = grid_points(1, GaussianSpec(domain_lo=0.0, domain_hi=8.0))
+        np.testing.assert_array_equal(points, [0.0, 4.0])
+
+    def test_target_carries_its_grid(self):
+        spec = GaussianSpec(decay_rate=0.7, domain_lo=-1.0, domain_hi=3.0)
+        np.testing.assert_array_equal(target_distribution(spec, 5).points, grid_points(5, spec))
 
 
 class TestTargetDistribution:

@@ -6,7 +6,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from gaussprep import ShotHistogram, new_zero_state, run_prepare, sample_counts, tv_distance
+from gaussprep import ShotHistogram, run_prepare, sample_counts, tv_distance
 
 
 @pytest.fixture(scope="module")
@@ -39,13 +39,6 @@ class TestShotHistogram:
 
 
 class TestSampleCounts:
-    def test_accepts_a_state_directly(self):
-        histogram = sample_counts(new_zero_state(3), shots=500, seed=42)
-        assert histogram.num_qubits == 3
-        assert histogram.seed == 42
-        assert histogram.counts[0] == 500
-        assert histogram.counts[1:].sum() == 0
-
     def test_same_seed_reproduces_exactly(self):
         probs = np.array([0.1, 0.2, 0.3, 0.4])
         a = sample_counts(probs, shots=10_000, seed=7)

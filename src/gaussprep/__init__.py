@@ -15,7 +15,6 @@ from .circuits import (
     GateKind,
     GateOp,
     PruningPolicy,
-    beta_from_lambda,
     build_exponential_layer,
     build_gaussian_prep,
     build_qft,
@@ -98,7 +97,6 @@ __all__ = [
     "TargetDistribution",
     "apply_circuit",
     "apply_gate",
-    "beta_from_lambda",
     "build_exponential_layer",
     "build_gaussian_prep",
     "build_qft",

@@ -178,7 +178,7 @@ class PruningPolicy:
     def __post_init__(self) -> None:
         object.__setattr__(self, "delta", float(self.delta))
         if not math.isfinite(self.delta) or self.delta < 0.0:
-            raise ValueError(f"delta must be finite and >= 0, got {self.delta}")
+            raise ValueError(f"pruning threshold must be finite and >= 0, got {self.delta}")
 
     def keeps(self, phi: float) -> bool:
         return phi >= self.delta
@@ -225,20 +225,16 @@ def rotation_angle(j: int, beta: float) -> float:
     return 2.0 * math.atan(math.exp(-beta * float(j) * float(j)))
 
 
-def beta_from_lambda(decay_rate: float) -> float:
-    """Default width heuristic: beta = 5 / (2 * decay_rate)."""
-    if not decay_rate > 0.0:
-        raise ValueError(f"decay_rate must be > 0, got {decay_rate}")
-    return 5.0 / (2.0 * decay_rate)
-
-
 def heuristic_beta(decay_rate: float) -> float:
-    """The beta used when none is given: beta_from_lambda, or 2.5 for a flat
-    target (rate 0). A rate whose beta overflows or underflows to 0 is
-    rejected, naming the rate."""
+    """The beta used when none is given: the width heuristic
+    5 / (2 * decay_rate), or 2.5 for a flat target (rate 0). A negative or
+    NaN rate is rejected, and so is a rate whose beta overflows or
+    underflows to 0, naming the rate."""
     if decay_rate == 0.0:
         return HEURISTIC_FALLBACK_BETA
-    beta = beta_from_lambda(decay_rate)
+    if not decay_rate > 0.0:
+        raise ValueError(f"decay_rate must be >= 0, got {decay_rate}")
+    beta = 5.0 / (2.0 * decay_rate)
     if not math.isfinite(beta):
         raise ValueError(f"lambda = {decay_rate!r} is too small: the heuristic beta = "
                          f"5 / (2 * lambda) overflows to {beta}")

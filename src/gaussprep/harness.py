@@ -61,12 +61,7 @@ from .reference import (
     target_distribution,
 )
 from .sampler import ShotHistogram
-from .statevector import (
-    MAX_SIM_QUBITS,
-    StateVector,
-    apply_circuit,
-    new_zero_state,
-)
+from .statevector import StateVector, apply_circuit, check_simulable, new_zero_state
 from .statevector import probabilities as state_probabilities
 
 SMOOTHING_EPS = 1e-12
@@ -145,16 +140,6 @@ class SweepRow(NamedTuple):
 SWEEP_COLUMNS = SweepRow._fields
 
 
-def _check_qubits(n: int) -> None:
-    if not 1 <= n <= MAX_SIM_QUBITS:
-        raise ValueError(f"qubit count {n} outside simulable range 1..{MAX_SIM_QUBITS}")
-
-
-def _check_delta(delta: float) -> None:
-    if not (delta >= 0.0 and math.isfinite(delta)):
-        raise ValueError(f"pruning threshold must be finite and >= 0, got {delta}")
-
-
 @dataclass(frozen=True)
 class SweepConfig:
     """Grid for run_sweep; no qubit count and no threshold may repeat.
@@ -177,9 +162,9 @@ class SweepConfig:
         if not self.delta_values:
             raise ValueError("delta_values must be non-empty")
         for n in self.n_values:
-            _check_qubits(n)
+            check_simulable(n)
         for delta in self.delta_values:
-            _check_delta(delta)
+            PruningPolicy(delta)  # refuses a negative or non-finite threshold
         for name, values in (("qubit count", self.n_values),
                              ("pruning threshold", self.delta_values)):
             repeated = [v for i, v in enumerate(values) if v in values[:i]]
@@ -241,14 +226,14 @@ def run_prepare(
     beta_mode: BetaMode = "heuristic",
 ) -> PrepareResult:
     """Build, simulate, and score one Gaussian preparation circuit."""
-    _check_qubits(n)
-    _check_delta(delta)
+    check_simulable(n)
+    policy = PruningPolicy(delta)
     spec = GaussianSpec(decay_rate=decay_rate)
     beta = resolve_beta(n, decay_rate, beta_mode)
     circuit = gaussian_circuit(n, beta, delta)
     state = _simulate(circuit)
     target = target_distribution(spec, n)
-    inventory = count_gates(circuit, num_pruned_cphase=pruned_cphase_count(n, PruningPolicy(delta)))
+    inventory = count_gates(circuit, num_pruned_cphase=pruned_cphase_count(n, policy))
     score = score_state(target, state)
     report = MetricsReport(
         n=n, decay_rate=decay_rate, beta=beta, delta=delta, mse_amplitude=score.mse,
@@ -379,7 +364,7 @@ def calibrate_beta(decay_rate: float, n: int, delta: float = 0.0) -> Calibration
         )
     if not 1 <= n <= MAX_CALIBRATION_QUBITS:
         raise ValueError(f"calibration supports 1..{MAX_CALIBRATION_QUBITS} qubits, got {n}")
-    _check_delta(delta)
+    PruningPolicy(delta)  # refuses a negative or non-finite threshold
     target = target_distribution(GaussianSpec(decay_rate=decay_rate), n)
     kl_from_target = kl_divergence_from(target.probabilities)
     cosines = cosine_table(n) if delta == 0.0 else None

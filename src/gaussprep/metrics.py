@@ -12,7 +12,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .circuits import GateInventory
+from .circuits import GateInventory, PruningPolicy
 from .reference import TargetDistribution
 from .statevector import StateVector, inner_product
 
@@ -194,8 +194,7 @@ def pruning_fidelity_bound(n: int, delta: float, loose: bool = False) -> float:
     -inf once the square overflows a double."""
     if n < 1:
         raise ValueError(f"qubit count must be >= 1, got {n}")
-    if delta < 0.0:
-        raise ValueError(f"delta must be >= 0, got {delta}")
+    PruningPolicy(delta)  # rejects a negative or non-finite threshold
     factor = float(n) if loose else float(n - 1)
     try:
         return 1.0 - (factor * delta) ** 2 / 4.0

@@ -14,29 +14,27 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuits import rotation_angle
-from .statevector import MAX_SIM_QUBITS
+from .statevector import check_simulable
 
 MAX_DFT_LENGTH = 2**16
 
 
 @dataclass(frozen=True)
 class GaussianSpec:
-    """Target profile e^(-decay_rate * x^2), mean 0, on [domain_lo, domain_hi).
+    """Target profile e^(-decay_rate * x^2), mean 0, on the fixed grid
+    domain [-2, 2).
 
-    decay_rate = 0 is allowed and yields the uniform distribution.
+    decay_rate = 0 is allowed and yields the uniform distribution. The
+    domain is not a parameter: on [-L, L) the rate lambda is the same target
+    as the rate lambda * (L/2)^2 on [-2, 2), and the heuristic beta and the
+    calibration both assume [-2, 2).
     """
 
     decay_rate: float = 1.0
-    domain_lo: float = -2.0
-    domain_hi: float = 2.0
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.decay_rate) or self.decay_rate < 0.0:
             raise ValueError(f"decay_rate must be finite and >= 0, got {self.decay_rate}")
-        if not (self.domain_lo < self.domain_hi):
-            raise ValueError(
-                f"domain_lo must be < domain_hi, got [{self.domain_lo}, {self.domain_hi})"
-            )
 
 
 @dataclass(frozen=True)
@@ -49,13 +47,11 @@ class TargetDistribution:
     amplitudes: np.ndarray
 
 
-def grid_points(n: int, spec: GaussianSpec = GaussianSpec()) -> np.ndarray:
-    """x_k = domain_lo + k * (domain_hi - domain_lo) / 2**n for k = 0..2**n - 1:
-    2**n equally spaced points covering [domain_lo, domain_hi), hi excluded."""
-    if n < 1:
-        raise ValueError(f"qubit count must be >= 1, got {n}")
-    step = (spec.domain_hi - spec.domain_lo) / 2.0**n
-    return spec.domain_lo + step * np.arange(2**n)
+def grid_points(n: int) -> np.ndarray:
+    """x_k = -2 + k * 4 / 2**n for k = 0..2**n - 1: 2**n equally spaced
+    points covering [-2, 2), 2 excluded."""
+    check_simulable(n)
+    return -2.0 + 4.0 / 2.0**n * np.arange(2**n)
 
 
 def target_distribution(spec: GaussianSpec, n: int) -> TargetDistribution:
@@ -65,7 +61,7 @@ def target_distribution(spec: GaussianSpec, n: int) -> TargetDistribution:
     Normalization subtracts the maximum exponent first so very large decay
     rates cannot underflow every weight at once.
     """
-    points = grid_points(n, spec)
+    points = grid_points(n)
     # A huge rate overflows the exponent to -inf, whose weight e^-inf = 0 is
     # the correct limit, so the overflow is not worth a warning.
     with np.errstate(over="ignore"):
@@ -75,15 +71,10 @@ def target_distribution(spec: GaussianSpec, n: int) -> TargetDistribution:
     return TargetDistribution(points=points, probabilities=probs, amplitudes=np.sqrt(probs))
 
 
-def _check_qubits(n: int) -> None:
-    if n < 1 or n > MAX_SIM_QUBITS:
-        raise ValueError(f"qubit count must be in [1, {MAX_SIM_QUBITS}], got {n}")
-
-
 def product_amplitudes_oracle(n: int, beta: float) -> np.ndarray:
     """Amplitudes of the rotation layer's product state, straight from the
     formula: alpha_x = prod_j cos(theta_j/2)^(1-x_j) * sin(theta_j/2)^(x_j)."""
-    _check_qubits(n)
+    check_simulable(n)
     amps = np.ones(1)
     for j in range(n - 1, -1, -1):
         half = rotation_angle(j, beta) / 2.0
@@ -126,7 +117,7 @@ def cosine_table(n: int) -> np.ndarray:
     It depends only on n, so a caller evaluating many betas at one n builds
     it once and passes it to closed_form_probabilities as `table`.
     """
-    _check_qubits(n)
+    check_simulable(n)
     dim = 1 << n
     return np.cos(2.0 * np.pi * np.arange(dim) / dim)
 
@@ -150,7 +141,7 @@ def closed_form_probabilities(n: int, beta: float, msb_flipped: bool = False, *,
     the result is bit-identical to evaluating the product index by index.
     No gate kernel and no FFT is involved.
     """
-    _check_qubits(n)
+    check_simulable(n)
     dim = 1 << n
     if table is None:
         table = cosine_table(n)

@@ -57,6 +57,8 @@ def sample_counts(probs: np.ndarray, shots: int, seed: int) -> ShotHistogram:
         )
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     if np.any(probs < 0.0):
         raise ValueError("probabilities must be non-negative")
     total = float(probs.sum())

@@ -36,12 +36,15 @@ class StateVector:
             )
 
 
+def check_simulable(n: int) -> None:
+    """Refuse a qubit count whose 2**n amplitudes are not simulated."""
+    if not 1 <= n <= MAX_SIM_QUBITS:
+        raise ValueError(f"qubit count {n} outside simulable range 1..{MAX_SIM_QUBITS}")
+
+
 def new_zero_state(n: int) -> StateVector:
     """|0...0> on n qubits."""
-    if n < 1 or n > MAX_SIM_QUBITS:
-        raise ValueError(
-            f"qubit count must be in [1, {MAX_SIM_QUBITS}] for simulation, got {n}"
-        )
+    check_simulable(n)
     amps = np.zeros(2**n, dtype=np.complex128)
     amps[0] = 1.0
     return StateVector(n, amps)

@@ -19,7 +19,6 @@ from gaussprep import (
     GateOp,
     GaussianSpec,
     PruningPolicy,
-    beta_from_lambda,
     build_exponential_layer,
     build_gaussian_prep,
     build_qft,
@@ -187,22 +186,18 @@ class TestRotationAngle:
             rotation_angle(-1, 1.0)
 
 
-class TestBetaFromLambda:
+class TestHeuristicBeta:
     def test_unit_decay_rate(self):
-        assert beta_from_lambda(1.0) == 2.5
+        assert heuristic_beta(1.0) == 2.5
 
     def test_reciprocal_scaling(self):
-        assert beta_from_lambda(2.5) == pytest.approx(1.0)
+        assert heuristic_beta(2.5) == pytest.approx(1.0)
+        assert heuristic_beta(0.3) == 5.0 / (2.0 * 0.3)
 
-    def test_zero_rejected(self):
-        with pytest.raises(ValueError):
-            beta_from_lambda(0.0)
-
-
-class TestHeuristicBeta:
-    def test_follows_beta_from_lambda(self):
-        assert heuristic_beta(1.0) == beta_from_lambda(1.0) == 2.5
-        assert heuristic_beta(0.3) == beta_from_lambda(0.3)
+    def test_negative_or_nan_rate_rejected(self):
+        for decay_rate in (-1.0, -1e-300, math.nan):
+            with pytest.raises(ValueError, match=rf"^decay_rate must be >= 0, got {decay_rate}$"):
+                heuristic_beta(decay_rate)
 
     def test_flat_target_falls_back(self):
         assert heuristic_beta(0.0) == HEURISTIC_FALLBACK_BETA == 2.5
@@ -257,8 +252,10 @@ class TestPruningPolicy:
         assert kept_cphase_count(1076, policy) == full_cphase_count(1076) - 1
 
     def test_negative_delta_rejected(self):
-        with pytest.raises(ValueError):
-            PruningPolicy(-0.1)
+        for delta in (-0.1, math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError,
+                               match=rf"^pruning threshold must be finite and >= 0, got {delta}$"):
+                PruningPolicy(delta)
 
 
 class TestBuildQft:

@@ -42,6 +42,9 @@ def read_csv_text(text):
     return list(csv.reader(io.StringIO(text)))
 
 
+COMMANDS = ("prepare", "sweep", "calibrate", "sample", "export-qasm")
+
+
 class TestExitCodes:
     def test_no_arguments_is_a_usage_error(self, capsys):
         assert main([]) == 1
@@ -109,6 +112,24 @@ class TestExitCodes:
     def test_non_finite_smoothing_is_a_runtime_error(self, eps, capsys):
         assert main(["sample", "-n", "3", "--smoothing", eps]) == 2
         assert "eps must be finite and > 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    @pytest.mark.parametrize("delta", ["-1", "nan"])
+    def test_bad_threshold_gives_one_message_in_every_command(self, command, delta, capsys):
+        flag = "--deltas" if command == "sweep" else "--delta"
+        assert main([command, "-n", "4", flag, delta]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"gaussprep: error: pruning threshold must be finite and >= 0, got {float(delta)}\n"
+        )
+
+    @pytest.mark.parametrize("command", ["prepare", "sample", "sweep"])
+    def test_qubit_count_beyond_the_simulator_gives_one_message(self, command, capsys):
+        assert main([command, "-n", "27"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "gaussprep: error: qubit count 27 outside simulable range 1..26\n"
 
     def test_repeated_sweep_values_are_a_runtime_error(self, capsys):
         assert main(["sweep", "-n", "3", "3", "--deltas", "0"]) == 2
@@ -244,6 +265,12 @@ class TestSample:
     def test_zero_shots_is_a_runtime_error(self, capsys):
         assert main(["sample", "-n", "3", "--shots", "0"]) == 2
 
+    def test_negative_seed_is_a_runtime_error_naming_the_seed(self, capsys):
+        assert main(["sample", "-n", "3", "--seed", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "gaussprep: error: seed must be >= 0, got -1\n"
+
     def test_huge_threshold_samples(self, capsys):
         assert main(["sample", "-n", "3", "--delta", "1e200", "--shots", "100"]) == 0
         assert json.loads(capsys.readouterr().out)["shots"] == 100
@@ -339,7 +366,7 @@ SHOTS = st.one_of(st.integers(min_value=-1, max_value=3000), st.just(10**15))
 
 @st.composite
 def cli_argv(draw):
-    command = draw(st.sampled_from(("prepare", "sweep", "calibrate", "sample", "export-qasm")))
+    command = draw(st.sampled_from(COMMANDS))
     argv = [command]
     if command == "sweep":
         argv += ["-n", *map(str, draw(st.lists(QUBITS, min_size=1, max_size=3)))]

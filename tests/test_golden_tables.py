@@ -13,7 +13,10 @@ The 41 MB n = 18 distribution dump is pinned by its SHA-256.
 from __future__ import annotations
 
 import hashlib
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -100,3 +103,32 @@ def test_prepare_report_and_json_dump(stem, argv, json_sha256, tmp_path, capsys)
         assert json_path.read_bytes() == (GOLDEN / f"{stem}.json").read_bytes()
     else:
         assert hashlib.sha256(json_path.read_bytes()).hexdigest() == json_sha256
+
+
+EXPERIMENT_FILES = (
+    "sweep.csv", "cost_comparison.csv", "calibration_n8.csv", "calibration_n10.csv",
+    "calibration_n12.csv", "distribution_n8.csv", "histogram_n5.csv",
+)
+
+
+def test_experiment_script_files(tmp_path):
+    """scripts/run_experiments.py writes the seven pinned files, byte for
+    byte with wall_time_ms masked, and prints one gate-ratio line per n of
+    the cost comparison. The pins were written by the script that called
+    the harness itself instead of the CLI."""
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, str(root / "scripts" / "run_experiments.py"), "--outdir", str(tmp_path)],
+        env=env, capture_output=True, text=True, check=False, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(EXPERIMENT_FILES)
+    for name in EXPERIMENT_FILES:
+        text = (tmp_path / name).read_bytes().decode("utf-8")
+        if name in ("sweep.csv", "cost_comparison.csv"):
+            text = mask_wall_time(text)
+        assert text.encode("utf-8") == (GOLDEN / "experiments" / name).read_bytes(), name
+    assert "  n=4: 17 gates vs 81 baseline (4.8x)\n" in done.stdout
+    assert "  n=10: 68 gates vs 7101 baseline (104.4x)\n" in done.stdout

@@ -94,10 +94,13 @@ class TestRunPrepare:
         assert peak <= 4.6 * (16 << n)
 
     def test_invalid_arguments_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^qubit count 0 outside simulable range 1\.\.26$"):
             run_prepare(0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^qubit count 27 outside simulable range 1\.\.26$"):
             run_prepare(27)
+        with pytest.raises(ValueError,
+                           match=r"^pruning threshold must be finite and >= 0, got nan$"):
+            run_prepare(4, delta=math.nan)
         with pytest.raises(ValueError):
             run_prepare(4, delta=-0.1)
         with pytest.raises(ValueError):
@@ -150,13 +153,14 @@ class TestSweepConfig:
             SweepConfig(n_values=(4,), delta_values=())
 
     def test_qubit_range_enforced(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^qubit count 0 outside simulable range 1\.\.26$"):
             SweepConfig(n_values=(0,), delta_values=(0.0,))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^qubit count 27 outside simulable range 1\.\.26$"):
             SweepConfig(n_values=(27,), delta_values=(0.0,))
 
     def test_negative_delta_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError,
+                           match=r"^pruning threshold must be finite and >= 0, got -0\.1$"):
             SweepConfig(n_values=(4,), delta_values=(-0.1,))
 
     @pytest.mark.parametrize("n_values, delta_values, message", [
@@ -396,7 +400,8 @@ class TestCalibrateBeta:
             calibrate_beta(1.0, 17)
 
     def test_negative_delta_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError,
+                           match=r"^pruning threshold must be finite and >= 0, got -0\.5$"):
             calibrate_beta(1.0, 8, delta=-0.5)
 
     @pytest.mark.parametrize("decay_rate", [2000.0, 1e-4])

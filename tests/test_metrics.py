@@ -433,8 +433,9 @@ class TestPruningFidelityBound:
     def test_invalid_arguments_rejected(self):
         with pytest.raises(ValueError):
             pruning_fidelity_bound(0, 0.0123)
-        with pytest.raises(ValueError):
-            pruning_fidelity_bound(8, -0.01)
+        for delta in (-0.01, math.nan):
+            with pytest.raises(ValueError, match="^pruning threshold must be finite and >= 0"):
+                pruning_fidelity_bound(8, delta)
 
     @given(
         st.integers(min_value=2, max_value=24),

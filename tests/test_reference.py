@@ -34,9 +34,17 @@ class TestGaussianSpec:
         with pytest.raises(ValueError):
             GaussianSpec(decay_rate=-1.0)
 
-    def test_degenerate_domain_rejected(self):
-        with pytest.raises(ValueError):
-            GaussianSpec(domain_lo=2.0, domain_hi=2.0)
+
+@pytest.mark.parametrize("call, n", [
+    (grid_points, 0),
+    (cosine_table, 0),
+    (lambda n: closed_form_probabilities(n, 1.0), 27),
+    (lambda n: product_amplitudes_oracle(n, 1.0), 27),
+    (lambda n: target_distribution(GaussianSpec(), n), -1),
+], ids=["grid_points", "cosine_table", "closed_form", "product_oracle", "target"])
+def test_qubit_count_outside_the_simulable_range_rejected(call, n):
+    with pytest.raises(ValueError, match=rf"^qubit count {n} outside simulable range 1\.\.26$"):
+        call(n)
 
 
 class TestGridPoints:
@@ -53,13 +61,9 @@ class TestGridPoints:
         assert points[0] == -2.0
         assert points[-1] == pytest.approx(2.0 - 0.015625)
 
-    def test_custom_domain(self):
-        points = grid_points(1, GaussianSpec(domain_lo=0.0, domain_hi=8.0))
-        np.testing.assert_array_equal(points, [0.0, 4.0])
-
     def test_target_carries_its_grid(self):
-        spec = GaussianSpec(decay_rate=0.7, domain_lo=-1.0, domain_hi=3.0)
-        np.testing.assert_array_equal(target_distribution(spec, 5).points, grid_points(5, spec))
+        spec = GaussianSpec(decay_rate=0.7)
+        np.testing.assert_array_equal(target_distribution(spec, 5).points, grid_points(5))
 
 
 class TestTargetDistribution:

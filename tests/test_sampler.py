@@ -64,6 +64,11 @@ class TestSampleCounts:
         with pytest.raises(ValueError):
             sample_counts(np.array([-0.5, 1.5]), shots=10, seed=0)
 
+    def test_negative_seed_rejected_by_name(self):
+        with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+            sample_counts(np.array([0.5, 0.5]), shots=10, seed=-1)
+        assert sample_counts(np.array([0.5, 0.5]), shots=10, seed=0).seed == 0
+
     def test_non_power_of_two_rejected(self):
         with pytest.raises(ValueError):
             sample_counts(np.full(3, 1 / 3), shots=10, seed=0)

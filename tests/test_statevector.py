@@ -55,7 +55,7 @@ class TestNewZeroState:
 
     @pytest.mark.parametrize("n", [0, -1, MAX_SIM_QUBITS + 1])
     def test_out_of_range(self, n):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=rf"^qubit count {n} outside simulable range 1\.\.26$"):
             new_zero_state(n)
 
     def test_bad_shape_rejected(self):

@@ -186,13 +186,19 @@ class TestRotationAngle:
             rotation_angle(-1, 1.0)
 
 
-class TestHeuristicBeta:
+class TestBetaFromLambda:
+    # the width rule beta = 5 / (2 * lambda) for a positive rate, now inside heuristic_beta
     def test_unit_decay_rate(self):
         assert heuristic_beta(1.0) == 2.5
 
     def test_reciprocal_scaling(self):
         assert heuristic_beta(2.5) == pytest.approx(1.0)
-        assert heuristic_beta(0.3) == 5.0 / (2.0 * 0.3)
+
+
+class TestHeuristicBeta:
+    def test_follows_beta_from_lambda(self):
+        for decay_rate in (0.3, 1.0, 7.0, 1e-3):
+            assert heuristic_beta(decay_rate) == 5.0 / (2.0 * decay_rate)
 
     def test_negative_or_nan_rate_rejected(self):
         for decay_rate in (-1.0, -1e-300, math.nan):

@@ -12,8 +12,10 @@ unwritable output, a refused memory allocation, ...).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
+import os
 import sys
 from pathlib import Path
 from typing import Sequence
@@ -28,6 +30,7 @@ from .harness import (
     gaussian_circuit,
     histogram_table,
     json_safe,
+    prepared_state,
     report_as_dict,
     resolve_beta,
     run_prepare,
@@ -37,7 +40,9 @@ from .harness import (
 )
 from .metrics import kl_divergence, laplace_smooth
 from .qasm import export_qasm
+from .reference import GaussianSpec, grid_points, target_distribution
 from .sampler import sample_counts, tv_distance
+from .statevector import probabilities
 
 DEFAULT_DECAY_RATE = 1.0
 DEFAULT_DELTA = 0.0123
@@ -153,12 +158,31 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+class _StdoutClosed(Exception):
+    """The reader of stdout went away before the output was written."""
+
+
 def _emit(path: str | None, text: str) -> None:
-    """Write text to the file at path, or to stdout when no path is given."""
+    """Write text to the file at path, or to stdout when no path is given.
+
+    stdout is flushed at once. When its reader has gone (`gaussprep
+    prepare -n 4 | head -1`), its descriptor is pointed at the null device,
+    so that the flush at interpreter exit finds no closed pipe either, and
+    _StdoutClosed ends the command.
+    """
     if path:
         Path(path).write_text(text, encoding="utf-8", newline="")
-    else:
+        return
+    try:
         sys.stdout.write(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        with contextlib.suppress(OSError, ValueError):  # a stdout with no descriptor
+            descriptor = sys.stdout.fileno()
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, descriptor)
+            os.close(devnull)
+        raise _StdoutClosed from None
 
 
 def _cmd_prepare(args: argparse.Namespace) -> int:
@@ -170,7 +194,7 @@ def _cmd_prepare(args: argparse.Namespace) -> int:
             payload = {"report": report_as_dict(result.report),
                        "distribution": table_records(*distribution_table(result))}
             _emit(args.out, json.dumps(payload, indent=2) + "\n")
-    print(json.dumps(report_as_dict(result.report), indent=2))
+    _emit(None, json.dumps(report_as_dict(result.report), indent=2) + "\n")
     return 0
 
 
@@ -182,7 +206,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     _emit(args.out, table_text(SWEEP_COLUMNS, rows, args.format))
     if args.out:
         failed = sum(1 for row in rows if row.error is not None)
-        print(f"wrote {len(rows)} rows to {args.out}" + (f" ({failed} failed)" if failed else ""))
+        _emit(None, f"wrote {len(rows)} rows to {args.out}"
+              + (f" ({failed} failed)" if failed else "") + "\n")
     return 0
 
 
@@ -190,29 +215,32 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
     result = calibrate_beta(args.decay_rate, args.qubits, args.delta)
     if args.out:
         _emit(args.out, table_text(*calibration_table(result), "csv"))
-    print(json.dumps(calibration_summary(result), indent=2))
+    _emit(None, json.dumps(calibration_summary(result), indent=2) + "\n")
     return 0
 
 
 def _cmd_sample(args: argparse.Namespace) -> int:
     if args.shots < 1:
         raise ValueError(f"shots must be >= 1, got {args.shots}")
-    result = run_prepare(args.qubits, args.decay_rate, args.delta, args.beta)
-    histogram = sample_counts(result.prepared_probabilities, args.shots, args.seed)
+    state = prepared_state(args.qubits, args.decay_rate, args.delta, args.beta).state
+    probs = probabilities(state)
+    histogram = sample_counts(probs, args.shots, args.seed)
     if args.out:
-        _emit(args.out, table_text(*histogram_table(result, histogram), "csv"))
+        grid = grid_points(args.qubits)
+        _emit(args.out, table_text(*histogram_table(grid, probs, histogram), "csv"))
     summary: dict[str, object] = {
         "n": args.qubits,
         "shots": histogram.shots,
         "seed": args.seed,
-        "tv_distance": tv_distance(histogram.frequencies, result.prepared_probabilities),
+        "tv_distance": tv_distance(histogram.frequencies, probs),
     }
     if args.smoothing is not None:
         smoothed = laplace_smooth(histogram.frequencies, args.smoothing)
+        target = target_distribution(GaussianSpec(decay_rate=args.decay_rate), args.qubits)
         summary["kl_target_to_empirical_smoothed"] = json_safe(
-            kl_divergence(result.target_probabilities, smoothed)
+            kl_divergence(target.probabilities, smoothed)
         )
-    print(json.dumps(summary, indent=2))
+    _emit(None, json.dumps(summary, indent=2) + "\n")
     return 0
 
 
@@ -231,6 +259,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         return code if isinstance(code, int) else 1
     try:
         return args.func(args)
+    except _StdoutClosed:
+        return 0
     except (ValueError, OSError, MemoryError) as exc:
         print(f"gaussprep: error: {exc}", file=sys.stderr)
         return 2

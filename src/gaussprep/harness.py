@@ -219,6 +219,31 @@ def _simulate(circuit: Circuit) -> StateVector:
     return state
 
 
+class PreparedState(NamedTuple):
+    """A preparation circuit at a resolved beta and its simulated state."""
+
+    beta: float
+    circuit: Circuit
+    state: StateVector
+
+
+def prepared_state(
+    n: int,
+    decay_rate: float = 1.0,
+    delta: float = 0.0123,
+    beta_mode: BetaMode = "heuristic",
+) -> PreparedState:
+    """Check the inputs, resolve beta, build the preparation circuit and
+    simulate it: the part of a run that run_prepare and the sample command
+    share."""
+    check_simulable(n)
+    PruningPolicy(delta)  # refuses a negative or non-finite threshold
+    GaussianSpec(decay_rate=decay_rate)  # refuses a negative or non-finite rate
+    beta = resolve_beta(n, decay_rate, beta_mode)
+    circuit = gaussian_circuit(n, beta, delta)
+    return PreparedState(beta, circuit, _simulate(circuit))
+
+
 def run_prepare(
     n: int,
     decay_rate: float = 1.0,
@@ -226,14 +251,9 @@ def run_prepare(
     beta_mode: BetaMode = "heuristic",
 ) -> PrepareResult:
     """Build, simulate, and score one Gaussian preparation circuit."""
-    check_simulable(n)
-    policy = PruningPolicy(delta)
-    spec = GaussianSpec(decay_rate=decay_rate)
-    beta = resolve_beta(n, decay_rate, beta_mode)
-    circuit = gaussian_circuit(n, beta, delta)
-    state = _simulate(circuit)
-    target = target_distribution(spec, n)
-    inventory = count_gates(circuit, num_pruned_cphase=pruned_cphase_count(n, policy))
+    beta, circuit, state = prepared_state(n, decay_rate, delta, beta_mode)
+    target = target_distribution(GaussianSpec(decay_rate=decay_rate), n)
+    inventory = count_gates(circuit, num_pruned_cphase=pruned_cphase_count(n, PruningPolicy(delta)))
     score = score_state(target, state)
     report = MetricsReport(
         n=n, decay_rate=decay_rate, beta=beta, delta=delta, mse_amplitude=score.mse,
@@ -432,10 +452,11 @@ def distribution_table(result: PrepareResult) -> Table:
     return DISTRIBUTION_COLUMNS, list(zip(range(result.grid.size), *values))
 
 
-def histogram_table(result: PrepareResult, histogram: ShotHistogram) -> Table:
+def histogram_table(grid: np.ndarray, probabilities: np.ndarray,
+                    histogram: ShotHistogram) -> Table:
     """Per-basis-state sampling dump alongside the exact prepared probabilities."""
-    values = (result.grid, result.prepared_probabilities, histogram.counts, histogram.frequencies)
-    return HISTOGRAM_COLUMNS, list(zip(range(result.grid.size), *values))
+    values = (grid, probabilities, histogram.counts, histogram.frequencies)
+    return HISTOGRAM_COLUMNS, list(zip(range(grid.size), *values))
 
 
 def calibration_table(result: CalibrationResult) -> Table:

@@ -6,9 +6,11 @@ computational basis integer; bit j of the index has significance 2**j.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 from dataclasses import dataclass
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -53,56 +55,190 @@ def new_zero_state(n: int) -> StateVector:
 def apply_gate(state: StateVector, gate: GateOp) -> StateVector:
     """Apply one primitive gate in place and return the state.
 
-    A gate on qubit q works on the view amps.reshape(-1, 2, 2**q), whose
-    [:, 0] and [:, 1] halves have qubit q clear and set; a two-qubit gate on
-    the view (high, bit hi, middle, bit lo, low). The 2x2 update runs in
-    place, in the order of floating-point operations of the textbook
-    product, with at most two temporaries of half a state (RY).
+    The gate runs through the same kernels as apply_circuit, on the
+    canonical layout, with a scratch buffer of its own.
     """
     n = state.num_qubits
     for q in gate.qubits:
         if not 0 <= q < n:
             raise ValueError(f"qubit index {q} out of range for {n} qubits")
-    amps = state.amplitudes
-    kind = gate.kind
-    if kind is GateKind.CPHASE or kind is GateKind.SWAP:
-        lo, hi = sorted(gate.qubits)
-        view = amps.reshape(-1, 2, 1 << (hi - lo - 1), 2, 1 << lo)
-        if kind is GateKind.CPHASE:
-            view[:, 1, :, 1, :] *= complex(math.cos(gate.angle), math.sin(gate.angle))
-        else:
-            t = view[:, 0, :, 1, :].copy()
-            view[:, 0, :, 1, :] = view[:, 1, :, 0, :]
-            view[:, 1, :, 0, :] = t
-        return state
-    view = amps.reshape(-1, 2, 1 << gate.qubits[0])
-    a, b = view[:, 0], view[:, 1]
-    if kind is GateKind.RY:
-        c, s = math.cos(gate.angle / 2.0), math.sin(gate.angle / 2.0)
-        sa = a * s
-        sb = b * s
-        a *= c
-        a -= sb
-        b *= c
-        b += sa
-    elif kind is GateKind.H:
-        t = a - b
-        a += b
-        a *= _SQRT1_2
-        np.multiply(t, _SQRT1_2, out=b)
-    elif kind is GateKind.X:
-        t = a.copy()
-        a[...] = b
-        b[...] = t
-    else:  # pragma: no cover - GateKind is closed
-        raise ValueError(f"unknown gate kind {gate.kind}")
+    with _small_ufunc_buffers():
+        _Kernels(state.amplitudes, range(n)).run((gate,))
     return state
 
 
-def _write_ry_prefix(amps: np.ndarray, n: int, gates: tuple[GateOp, ...]) -> int:
-    """Overwrite |0...0> with the state made by the leading run of RY gates
-    on distinct qubits, and return the length of that run (at least 1: the
-    first gate must be an RY).
+# numpy runs a ufunc over a view whose rows are shorter than this through one
+# buffer of this many elements per operand. Its default, 8192, makes the
+# buffers of one H as large as a whole 14-qubit state (and was slower: the
+# Gaussian circuit at n = 18 took 74 ms against 64 ms with 512). 128 keeps
+# them at 2 KiB, about 0.1 of a 12-qubit state against 0.4 with 512, at the
+# same speed (about 60 ms at n = 18, numpy 2.4).
+_UFUNC_BUFFER_ELEMENTS = 128
+
+
+@contextlib.contextmanager
+def _small_ufunc_buffers() -> Iterator[None]:
+    with np.errstate():  # restores numpy's buffer size on exit
+        np.setbufsize(_UFUNC_BUFFER_ELEMENTS)
+        yield
+
+
+class _Kernels:
+    """The five gate kernels on one amplitude array, with the qubits stored
+    in a given layout: qubit q lives at storage bit bits[q].
+
+    A one-qubit gate on storage bit p updates the halves a, b of the view
+    amps.reshape(-1, 2, 2**p), which have the bit clear and set; a
+    two-qubit gate updates the blocks of the view (high, bit hi, middle,
+    bit lo, low). Every update runs in place, in the order of
+    floating-point operations of the textbook product, so each amplitude
+    gets the same bits in any layout.
+
+    What a gate needs is built at its first use and kept: the halves of
+    each storage bit, the blocks of each pair, the phase of each
+    controlled-phase angle. Temporaries are views of one scratch buffer of
+    half a state, allocated at the first gate that needs one. RY and X need
+    two temporaries of the size of a half, so they run over the halves in
+    two pieces; X and SWAP copy both ways through the scratch buffer,
+    because numpy copies a source that shares the destination's buffer
+    into a hidden temporary of its own first.
+    """
+
+    def __init__(self, amps: np.ndarray, bits: Sequence[int]) -> None:
+        self.amps = amps
+        self.bits = bits
+        n = len(bits)
+        self._scratch: np.ndarray | None = None
+        self._halves: list[tuple[np.ndarray, np.ndarray, np.ndarray] | None] = [None] * n
+        self._phase_blocks: list[list[np.ndarray | None]] = [[None] * n for _ in range(n)]
+        self._swap_blocks: dict[tuple[int, int], tuple[np.ndarray, ...]] = {}
+        self._phases: dict[float, complex] = {}
+
+    def run(self, gates: Iterable[GateOp]) -> None:
+        """Apply the gates in order."""
+        bits = self.bits
+        hadamard, cphase, ry, swap, x = self.hadamard, self.cphase, self.ry, self.swap, self.x
+        for gate in gates:
+            kind = gate.kind
+            if kind is GateKind.H:
+                hadamard(bits[gate.qubits[0]])
+            elif kind is GateKind.CPHASE:
+                q0, q1 = gate.qubits
+                cphase(bits[q0], bits[q1], gate.angle)
+            elif kind is GateKind.RY:
+                ry(bits[gate.qubits[0]], gate.angle)
+            elif kind is GateKind.SWAP:
+                q0, q1 = gate.qubits
+                swap(bits[q0], bits[q1])
+            elif kind is GateKind.X:
+                x(bits[gate.qubits[0]])
+            else:  # pragma: no cover - GateKind is closed
+                raise ValueError(f"unknown gate kind {gate.kind}")
+
+    def _temporary(self, like: np.ndarray, offset: int = 0) -> np.ndarray:
+        """A view of the scratch buffer, from `offset` on, shaped like `like`."""
+        if self._scratch is None:
+            # two elements at n = 1, where a half is one amplitude
+            self._scratch = np.empty(max(self.amps.size // 2, 2), dtype=np.complex128)
+        return self._scratch[offset:offset + like.size].reshape(like.shape)
+
+    def _halves_of(self, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The halves of storage bit p and a temporary of their shape."""
+        halves = self._halves[p]
+        if halves is None:
+            view = self.amps.reshape(-1, 2, 1 << p)
+            a = view[:, 0]
+            halves = self._halves[p] = (a, view[:, 1], self._temporary(a))
+        return halves
+
+    def _pieces_of(self, p: int) -> Iterator[tuple[np.ndarray, ...]]:
+        """The halves of storage bit p as (a, b, t, u) pieces, where t and u
+        are two temporaries of the piece's shape: one piece where the
+        scratch buffer holds two halves (n = 1), else two. The halves are
+        cut along their outer axis where it has two rows or more, so that no
+        piece straddles the rows of a contiguous half. The pieces are sliced
+        at each call: their six views per bit, kept for every bit, would add
+        about a sixth of a 12-qubit state to the executor's memory."""
+        a, b, t = self._halves_of(p)
+        if self._scratch.size >= 2 * a.size:
+            yield a, b, t, self._temporary(a, a.size)
+            return
+        rows, cols = a.shape
+        if rows > 1:
+            cuts = (slice(None, rows // 2),), (slice(rows // 2, None),)
+        else:
+            cuts = (slice(None), slice(None, cols // 2)), (slice(None), slice(cols // 2, None))
+        t, u = t[cuts[0]], t[cuts[1]]
+        for cut in cuts:
+            yield a[cut], b[cut], t, u
+
+    def hadamard(self, p: int) -> None:
+        a, b, t = self._halves_of(p)
+        np.subtract(a, b, out=t)
+        a += b
+        a *= _SQRT1_2
+        np.multiply(t, _SQRT1_2, out=b)
+
+    def ry(self, p: int, angle: float) -> None:
+        c, s = math.cos(angle / 2.0), math.sin(angle / 2.0)
+        for a, b, sa, sb in self._pieces_of(p):
+            np.multiply(a, s, out=sa)
+            np.multiply(b, s, out=sb)
+            a *= c
+            a -= sb
+            b *= c
+            b += sa
+
+    def x(self, p: int) -> None:
+        for a, b, t, u in self._pieces_of(p):
+            np.copyto(t, a)
+            np.copyto(u, b)
+            np.copyto(a, u)
+            np.copyto(b, t)
+
+    def _pair_view(self, p0: int, p1: int) -> np.ndarray:
+        lo, hi = (p0, p1) if p0 < p1 else (p1, p0)
+        return self.amps.reshape(-1, 2, 1 << (hi - lo - 1), 2, 1 << lo)
+
+    def cphase(self, p0: int, p1: int, angle: float) -> None:
+        row = self._phase_blocks[p0]
+        block = row[p1]
+        if block is None:
+            block = row[p1] = self._pair_view(p0, p1)[:, 1, :, 1, :]
+        phase = self._phases.get(angle)
+        if phase is None:
+            phase = complex(math.cos(angle), math.sin(angle))
+            if angle:  # 0.0 and -0.0 are one key but give phases of different bits
+                self._phases[angle] = phase
+        block *= phase
+
+    def swap(self, p0: int, p1: int) -> None:
+        blocks = self._swap_blocks.get((p0, p1))
+        if blocks is None:
+            view = self._pair_view(p0, p1)
+            v01, v10 = view[:, 0, :, 1, :], view[:, 1, :, 0, :]
+            blocks = (v01, v10, self._temporary(v01), self._temporary(v01, v01.size))
+            self._swap_blocks[p0, p1] = blocks
+        v01, v10, t, u = blocks
+        np.copyto(t, v01)
+        np.copyto(u, v10)
+        np.copyto(v01, u)
+        np.copyto(v10, t)
+
+
+def _ry_prefix_length(gates: tuple[GateOp, ...]) -> int:
+    """The length of the leading run of RY gates on distinct qubits."""
+    rotated: set[int] = set()
+    for gate in gates:
+        if gate.kind is not GateKind.RY or gate.qubits[0] in rotated:
+            break
+        rotated.add(gate.qubits[0])
+    return len(rotated)
+
+
+def _write_ry_prefix(amps: np.ndarray, n: int, prefix: tuple[GateOp, ...]) -> None:
+    """Overwrite |0...0> with the state made by a run of RY gates on
+    distinct qubits.
 
     That state is a product: an amplitude whose set bits all lie on rotated
     qubits is the product of one factor per gate, cos(angle/2) where the
@@ -117,10 +253,8 @@ def _write_ry_prefix(amps: np.ndarray, n: int, gates: tuple[GateOp, ...]) -> int
     product = np.ones(())
     rotated: list[int] = []  # descending
     factor = None
-    for gate in gates:
+    for gate in prefix:
         q = gate.qubits[0]
-        if gate.kind is not GateKind.RY or q in rotated:
-            break
         if factor is not None:
             product = product * factor
         axis = sum(r > q for r in rotated)
@@ -131,14 +265,44 @@ def _write_ry_prefix(amps: np.ndarray, n: int, gates: tuple[GateOp, ...]) -> int
         product = np.expand_dims(product, axis)
     index = tuple(slice(None) if q in rotated else 0 for q in range(n - 1, -1, -1))
     np.multiply(product, factor, out=amps.reshape((2,) * n)[index])
-    return len(rotated)
 
 
-# numpy runs a ufunc over a multi-dimensional view through one buffer of this
-# many elements per operand. Its default, 8192, makes the buffers of one H as
-# large as a whole 14-qubit state; 512 keeps them at 8 KiB and measured
-# faster too (the Gaussian circuit at n = 18: 74 -> 64 ms, numpy 2.4).
-_UFUNC_BUFFER_ELEMENTS = 512
+def _storage_bits(gates: tuple[GateOp, ...], start: int, n: int) -> list[int]:
+    """The layout of a circuit: the storage bit of each qubit.
+
+    Qubits are ranked by how many one-qubit gates from `start` on act on
+    them, ties by qubit index, and take the storage bits from the bottom up,
+    so the busiest qubit gets the top bit, whose halves are the two
+    contiguous halves of the array. The exact encoder's tree gives the bit
+    reversal; a circuit whose qubits are all equally busy keeps the
+    identity. Every gate is range-checked here.
+    """
+    counts = [0] * n
+    for i, gate in enumerate(gates):
+        qubits = gate.qubits
+        for q in qubits:
+            if q >= n:
+                raise ValueError(f"qubit index {q} out of range for {n} qubits")
+        if i >= start and len(qubits) == 1:
+            counts[qubits[0]] += 1
+    bits = [0] * n
+    for p, q in enumerate(sorted(range(n), key=lambda q: (counts[q], q))):
+        bits[q] = p
+    return bits
+
+
+def _layout_swaps(bits: list[int]) -> list[tuple[int, int]]:
+    """Storage-bit swaps that move each qubit q from bit q to bits[q], at
+    most n - 1 of them (n // 2 for the bit reversal); run in reverse order
+    they move every qubit back."""
+    holder = list(range(len(bits)))  # the qubit each storage bit holds
+    swaps = []
+    for q, target in enumerate(bits):
+        p = holder.index(q)
+        if p != target:
+            swaps.append((p, target))
+            holder[p], holder[target] = holder[target], q
+    return swaps
 
 
 def apply_circuit(state: StateVector, circuit: Circuit) -> StateVector:
@@ -146,21 +310,32 @@ def apply_circuit(state: StateVector, circuit: Circuit) -> StateVector:
 
     On |0...0> the leading run of RY gates on distinct qubits (the
     exponential layer of the Gaussian circuit) is written as one product
-    state instead of gate by gate, with the same amplitudes.
+    state instead of gate by gate, with the same amplitudes. The other
+    gates run in the layout `_storage_bits` picks for them, entered and
+    left by exact storage-bit swaps done in place; the kernels set each
+    qubit, pair and angle up once and share one scratch buffer.
     """
     if circuit.num_qubits != state.num_qubits:
         raise ValueError(
             f"circuit has {circuit.num_qubits} qubits, state has {state.num_qubits}"
         )
+    n = state.num_qubits
     gates = circuit.gates
     amps = state.amplitudes
     start = 0
-    with np.errstate():
-        np.setbufsize(_UFUNC_BUFFER_ELEMENTS)
-        if gates and gates[0].kind is GateKind.RY and amps[0] == 1 and not amps[1:].any():
-            start = _write_ry_prefix(amps, state.num_qubits, gates)
-        for gate in itertools.islice(gates, start, None):
-            apply_gate(state, gate)
+    if gates and gates[0].kind is GateKind.RY and amps[0] == 1 and not amps[1:].any():
+        start = _ry_prefix_length(gates)
+    bits = _storage_bits(gates, start, n)
+    swaps = _layout_swaps(bits)
+    kernels = _Kernels(amps, bits)
+    with _small_ufunc_buffers():
+        if start:
+            _write_ry_prefix(amps, n, gates[:start])
+        for p0, p1 in swaps:
+            kernels.swap(p0, p1)
+        kernels.run(itertools.islice(gates, start, None))
+        for p0, p1 in reversed(swaps):
+            kernels.swap(p0, p1)
     return state
 
 

@@ -353,6 +353,45 @@ class TestModuleEntryPoint:
         assert "gaussprep: error: lambda = 1e-320 is too small" in done.stderr
 
 
+class TestClosedStdout:
+    """A reader that stops early (`gaussprep prepare | head -1`) ends the
+    command quietly; an --out file that cannot be written stays an error."""
+
+    @pytest.mark.parametrize("argv", [["prepare", "-n", "4"], ["sweep", "-n", "3", "4"],
+                                      ["export-qasm", "-n", "64", "--delta", "0"]],
+                             ids=["prepare", "sweep", "export-qasm"])
+    def test_closed_pipe_exits_zero_without_a_message(self, argv):
+        source_root = str(Path(gaussprep.__file__).resolve().parent.parent)
+        path = os.pathsep.join(filter(None, [source_root, os.environ.get("PYTHONPATH")]))
+        child = subprocess.Popen([sys.executable, "-m", "gaussprep", *argv],
+                                 env={**os.environ, "PYTHONPATH": path},
+                                 stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        child.stdout.close()  # before the child has imported numpy, let alone written
+        err = child.stderr.read()
+        child.stderr.close()
+        assert child.wait(timeout=60) == 0
+        assert err == b""
+
+    def test_closed_stdout_without_a_descriptor(self, monkeypatch, capsys):
+        class ClosedPipe(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        assert main(["prepare", "-n", "3"]) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_broken_pipe_on_the_out_file_stays_an_error(self, tmp_path, monkeypatch, capsys):
+        def closed_pipe(*args, **kwargs):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        monkeypatch.setattr(Path, "write_text", closed_pipe)
+        assert main(["prepare", "-n", "3", "--out", str(tmp_path / "dump.csv")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "gaussprep: error: [Errno 32] Broken pipe\n"
+
+
 # Values for every float flag: the edges of the double range, both
 # infinities, NaN, zeros and ordinary settings.
 FLOAT_TEXTS = ("nan", "inf", "-inf", "0", "-0", "1e-320", "1e200", "-1",

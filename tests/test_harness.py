@@ -27,8 +27,10 @@ from gaussprep.harness import (
     HISTOGRAM_COLUMNS,
     SWEEP_COLUMNS,
     distribution_table,
+    prepared_state,
     table_text,
 )
+from gaussprep.statevector import probabilities
 
 # golden-section argmin of the smoothed-KL objective at n=10, lambda=1
 CALIBRATED_BETA_N10 = 2.4941317098691824
@@ -73,6 +75,14 @@ class TestRunPrepare:
         np.testing.assert_allclose(result.prepared_probabilities, [0.0, 1.0], atol=1e-12)
         assert result.report.kl_divergence == pytest.approx(math.log(2.0), rel=1e-12)
         assert result.report.fidelity == pytest.approx(0.5, rel=1e-12)
+
+    @pytest.mark.parametrize("n, delta", [(12, 0.0123), (13, 0.0)])
+    def test_sample_probabilities_have_the_scored_bits(self, n, delta):
+        # `sample` reads statevector.probabilities of the state it simulates
+        # without scoring it; score_state squares |a| in place instead
+        scored = run_prepare(n, delta=delta).prepared_probabilities
+        unscored = probabilities(prepared_state(n, delta=delta).state)
+        assert np.array_equal(unscored.view(np.int64), scored.view(np.int64))
 
     def test_pruning_cost_stays_within_analytic_allowance(self):
         full = run_prepare(12, decay_rate=1.0, delta=0.0)

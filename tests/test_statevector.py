@@ -37,7 +37,7 @@ from gaussprep import (
     x,
 )
 from gaussprep.harness import gaussian_circuit
-from gaussprep.statevector import MAX_SIM_QUBITS
+from gaussprep.statevector import MAX_SIM_QUBITS, _storage_bits
 
 SQRT1_2 = 1.0 / math.sqrt(2.0)
 
@@ -197,6 +197,14 @@ def _assert_matches_literal_gates(amplitudes: np.ndarray, circuit: Circuit) -> N
     assert np.array_equal(state.amplitudes, expected)
 
 
+def _assert_bits_match_literal_gates(amplitudes: np.ndarray, circuit: Circuit) -> None:
+    """Every amplitude of apply_circuit has the bits of the per-gate
+    reference, the sign of a zero included."""
+    expected = _literal_run(amplitudes, circuit)
+    state = apply_circuit(StateVector(circuit.num_qubits, amplitudes.copy()), circuit)
+    assert np.array_equal(state.amplitudes.view(np.int64), expected.view(np.int64))
+
+
 _ANGLES = st.sampled_from([0.0, -0.0, 1e-300, -0.4, math.pi, -math.pi, 2.5, -7.0, 13.0])
 
 
@@ -214,6 +222,27 @@ def _circuits(draw):
                      | st.builds(lambda p: swap(*p), pair))
         one_qubit = one_qubit | two_qubit
     gates += draw(st.lists(one_qubit, max_size=12))
+    return Circuit(n, tuple(gates))
+
+
+@st.composite
+def _busy_circuits(draw):
+    """Any of the five gates on 2..7 qubits, with a qubit below the top one
+    given more one-qubit gates than any other, so that the layout is not the
+    identity."""
+    n = draw(st.integers(min_value=2, max_value=7))
+    qubit = st.integers(min_value=0, max_value=n - 1)
+    pair = st.lists(qubit, min_size=2, max_size=2, unique=True)
+    gate = (st.builds(ry, qubit, _ANGLES) | st.builds(h, qubit) | st.builds(x, qubit)
+            | st.builds(lambda p, a: cphase(*p, a), pair, _ANGLES)
+            | st.builds(lambda p: swap(*p), pair))
+    gates = draw(st.lists(gate, max_size=16))
+    busy = draw(st.integers(min_value=0, max_value=n - 2))
+    one_qubit = st.sampled_from((h, x)) | st.just(lambda q: ry(q, 0.7))
+    most = max([sum(g.qubits == (q,) for g in gates) for q in range(n)])
+    for _ in range(most + 1 - sum(g.qubits == (busy,) for g in gates)):
+        position = draw(st.integers(min_value=0, max_value=len(gates)))
+        gates.insert(position, draw(one_qubit)(busy))
     return Circuit(n, tuple(gates))
 
 
@@ -240,11 +269,22 @@ class TestKernelsMatchLiteralGates:
         circuit = gaussian_circuit(n, beta, delta)
         _assert_matches_literal_gates(new_zero_state(n).amplitudes, circuit)
 
-    @pytest.mark.parametrize("n", range(1, 11))
+    @pytest.mark.parametrize("n", range(1, 13))
     def test_exact_encoding_circuits(self, n):
+        # the encoder's tree runs in the bit-reversed layout from n = 2 on
         target = target_distribution(GaussianSpec(decay_rate=1.0), n)
         circuit = encode_exact(target.amplitudes, n)
-        _assert_matches_literal_gates(new_zero_state(n).amplitudes, circuit)
+        assert _storage_bits(circuit.gates, 0, n) == list(range(n - 1, -1, -1))
+        _assert_bits_match_literal_gates(new_zero_state(n).amplitudes, circuit)
+
+    @given(_busy_circuits(), st.integers(min_value=0, max_value=2**32 - 1))
+    @example(Circuit(3, (h(0), x(0), swap(0, 2), cphase(1, 0, -0.0), ry(0, -0.0))), 0)
+    def test_layouts_other_than_the_identity(self, circuit, seed):
+        n = circuit.num_qubits
+        assert _storage_bits(circuit.gates, 0, n) != list(range(n))
+        amplitudes = random_normalized_amplitudes(np.random.default_rng(seed), 1 << n)
+        amplitudes[::3] *= -0.0  # signed zeros among the amplitudes
+        _assert_bits_match_literal_gates(amplitudes, circuit)
 
     def test_state_other_than_zero_is_not_overwritten(self):
         # |0...0> up to a global phase is not |0...0>: the RY prefix must not
@@ -257,6 +297,21 @@ class TestPeakMemory:
     def test_gaussian_circuit_allocates_at_most_one_state(self):
         n = 14
         circuit = gaussian_circuit(n, resolve_beta(n, 1.0, "heuristic"), 0.0123)
+        state = new_zero_state(n)
+        tracemalloc.start()
+        try:
+            apply_circuit(state, circuit)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= state.amplitudes.nbytes
+
+    def test_exact_encoding_allocates_at_most_one_state(self):
+        # the bit-reversed layout is entered and left in place, and every
+        # temporary is a view of one scratch buffer of half a state
+        n = 12
+        target = target_distribution(GaussianSpec(decay_rate=1.0), n)
+        circuit = encode_exact(target.amplitudes, n)
         state = new_zero_state(n)
         tracemalloc.start()
         try:

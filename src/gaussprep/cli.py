@@ -21,6 +21,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .harness import (
+    DEFAULT_DELTA,
     SWEEP_COLUMNS,
     SweepConfig,
     calibrate_beta,
@@ -40,12 +41,10 @@ from .harness import (
 )
 from .metrics import kl_divergence, laplace_smooth
 from .qasm import export_qasm
-from .reference import GaussianSpec, grid_points, target_distribution
-from .sampler import sample_counts, tv_distance
+from .reference import DEFAULT_DECAY_RATE, GaussianSpec, grid_points, target_distribution
+from .sampler import check_shots, sample_counts, tv_distance
 from .statevector import probabilities
 
-DEFAULT_DECAY_RATE = 1.0
-DEFAULT_DELTA = 0.0123
 DEFAULT_SHOTS = 50_000
 DEFAULT_SEED = 1234
 
@@ -72,7 +71,17 @@ def _beta_mode(text: str):
     return value
 
 
-def _add_model_flags(sub: argparse.ArgumentParser, delta_default: float = DEFAULT_DELTA) -> None:
+def _add_beta_flag(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument(
+        "--beta",
+        type=_beta_mode,
+        default="heuristic",
+        help="rotation decay: 'heuristic' (5/(2 lambda)), 'calibrated', or a number",
+    )
+
+
+def _add_model_flags(sub: argparse.ArgumentParser, delta_default: float = DEFAULT_DELTA,
+                     beta: bool = True) -> None:
     sub.add_argument("--qubits", "-n", type=int, required=True, help="register size n")
     sub.add_argument(
         "--lambda",
@@ -81,12 +90,8 @@ def _add_model_flags(sub: argparse.ArgumentParser, delta_default: float = DEFAUL
         default=DEFAULT_DECAY_RATE,
         help="target decay rate lambda in exp(-lambda x^2) (default 1)",
     )
-    sub.add_argument(
-        "--beta",
-        type=_beta_mode,
-        default="heuristic",
-        help="rotation decay: 'heuristic' (5/(2 lambda)), 'calibrated', or a number",
-    )
+    if beta:
+        _add_beta_flag(sub)
     sub.add_argument(
         "--delta",
         type=float,
@@ -115,10 +120,10 @@ def build_parser() -> argparse.ArgumentParser:
         nargs="+",
         default=[0.0, DEFAULT_DELTA],
         metavar="DELTA",
-        help="pruning thresholds (default: 0 and 0.0123)",
+        help=f"pruning thresholds (default: 0 and {DEFAULT_DELTA})",
     )
     sweep.add_argument("--lambda", dest="decay_rate", type=float, default=DEFAULT_DECAY_RATE)
-    sweep.add_argument("--beta", type=_beta_mode, default="heuristic")
+    _add_beta_flag(sweep)
     sweep.add_argument(
         "--include-baseline",
         action="store_true",
@@ -131,7 +136,7 @@ def build_parser() -> argparse.ArgumentParser:
     calibrate = commands.add_parser(
         "calibrate", help="search beta minimizing smoothed KL divergence"
     )
-    _add_model_flags(calibrate, delta_default=0.0)
+    _add_model_flags(calibrate, delta_default=0.0, beta=False)  # the search finds beta
     calibrate.add_argument("--out", help="write the diagnostic table CSV here")
     calibrate.set_defaults(func=_cmd_calibrate)
 
@@ -220,8 +225,7 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
 
 
 def _cmd_sample(args: argparse.Namespace) -> int:
-    if args.shots < 1:
-        raise ValueError(f"shots must be >= 1, got {args.shots}")
+    check_shots(args.shots)  # before the state is allocated
     state = prepared_state(args.qubits, args.decay_rate, args.delta, args.beta).state
     probs = probabilities(state)
     histogram = sample_counts(probs, args.shots, args.seed)

@@ -31,7 +31,7 @@ import json
 import math
 import time
 from dataclasses import dataclass, fields
-from typing import NamedTuple, Sequence, Union
+from typing import Callable, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -54,6 +54,7 @@ from .metrics import (
     score_state,
 )
 from .reference import (
+    DEFAULT_DECAY_RATE,
     GaussianSpec,
     TargetDistribution,
     closed_form_probabilities,
@@ -64,6 +65,7 @@ from .sampler import ShotHistogram
 from .statevector import StateVector, apply_circuit, check_simulable, new_zero_state
 from .statevector import probabilities as state_probabilities
 
+DEFAULT_DELTA = 0.0123
 SMOOTHING_EPS = 1e-12
 BETA_SEARCH_LO = 0.01
 BETA_SEARCH_HI = 10.0
@@ -150,7 +152,7 @@ class SweepConfig:
 
     n_values: tuple[int, ...]
     delta_values: tuple[float, ...]
-    decay_rate: float = 1.0
+    decay_rate: float = DEFAULT_DECAY_RATE
     beta_mode: BetaMode = "heuristic"
     include_baseline: bool = False
 
@@ -213,26 +215,30 @@ def gaussian_circuit(n: int, beta: float, delta: float) -> Circuit:
     return build_gaussian_prep(n, GaussianSpec(), PruningPolicy(delta), beta_override=beta)
 
 
-def _simulate(circuit: Circuit) -> StateVector:
-    state = new_zero_state(circuit.num_qubits)
-    apply_circuit(state, circuit)
-    return state
+class Run(NamedTuple):
+    """A circuit built at a resolved beta (None for the exact encoding),
+    its simulated state, and the time building and simulating took."""
 
-
-class PreparedState(NamedTuple):
-    """A preparation circuit at a resolved beta and its simulated state."""
-
-    beta: float
+    beta: float | None
     circuit: Circuit
     state: StateVector
+    wall_ms: float
+
+
+def _run(beta: float | None, build: Callable[..., Circuit], *args) -> Run:
+    """Build a circuit with build(*args), simulate it from |0...0>, and time both."""
+    start = time.perf_counter()
+    circuit = build(*args)
+    state = apply_circuit(new_zero_state(circuit.num_qubits), circuit)
+    return Run(beta, circuit, state, (time.perf_counter() - start) * 1000.0)
 
 
 def prepared_state(
     n: int,
-    decay_rate: float = 1.0,
-    delta: float = 0.0123,
+    decay_rate: float = DEFAULT_DECAY_RATE,
+    delta: float = DEFAULT_DELTA,
     beta_mode: BetaMode = "heuristic",
-) -> PreparedState:
+) -> Run:
     """Check the inputs, resolve beta, build the preparation circuit and
     simulate it: the part of a run that run_prepare and the sample command
     share."""
@@ -240,18 +246,17 @@ def prepared_state(
     PruningPolicy(delta)  # refuses a negative or non-finite threshold
     GaussianSpec(decay_rate=decay_rate)  # refuses a negative or non-finite rate
     beta = resolve_beta(n, decay_rate, beta_mode)
-    circuit = gaussian_circuit(n, beta, delta)
-    return PreparedState(beta, circuit, _simulate(circuit))
+    return _run(beta, gaussian_circuit, n, beta, delta)
 
 
 def run_prepare(
     n: int,
-    decay_rate: float = 1.0,
-    delta: float = 0.0123,
+    decay_rate: float = DEFAULT_DECAY_RATE,
+    delta: float = DEFAULT_DELTA,
     beta_mode: BetaMode = "heuristic",
 ) -> PrepareResult:
     """Build, simulate, and score one Gaussian preparation circuit."""
-    beta, circuit, state = prepared_state(n, decay_rate, delta, beta_mode)
+    beta, circuit, state, _ = prepared_state(n, decay_rate, delta, beta_mode)
     target = target_distribution(GaussianSpec(decay_rate=decay_rate), n)
     inventory = count_gates(circuit, num_pruned_cphase=pruned_cphase_count(n, PruningPolicy(delta)))
     score = score_state(target, state)
@@ -266,22 +271,7 @@ def run_prepare(
                          prepared_probabilities=score.probabilities)
 
 
-class _Run(NamedTuple):
-    """A built and simulated circuit, with the time both took."""
-
-    circuit: Circuit
-    state: StateVector
-    wall_ms: float
-
-
-def _timed_run(build) -> _Run:
-    start = time.perf_counter()
-    circuit = build()
-    state = _simulate(circuit)
-    return _Run(circuit, state, (time.perf_counter() - start) * 1000.0)
-
-
-def _measured(run: _Run, target: TargetDistribution) -> dict[str, object]:
+def _measured(run: Run, target: TargetDistribution) -> dict[str, object]:
     """The sweep columns measured on a simulated state."""
     inventory = count_gates(run.circuit)
     score = score_state(target, run.state)
@@ -289,8 +279,7 @@ def _measured(run: _Run, target: TargetDistribution) -> dict[str, object]:
                 kl=score.kl_divergence, wall_time_ms=run.wall_ms, fidelity_target=score.fidelity)
 
 
-def _gaussian_row(n: int, delta: float, beta: float, target: TargetDistribution,
-                  full: _Run) -> SweepRow:
+def _gaussian_row(n: int, delta: float, target: TargetDistribution, full: Run) -> SweepRow:
     """One (n, delta) cell. A threshold that prunes nothing leaves the
     full-QFT gate list, so the cell reports the full state with fidelity
     exactly 1; otherwise only the pruned circuit is simulated, and it is
@@ -299,9 +288,9 @@ def _gaussian_row(n: int, delta: float, beta: float, target: TargetDistribution,
     if num_pruned == 0:
         run, pruning_fidelity = full, 1.0
     else:
-        run = _timed_run(lambda: gaussian_circuit(n, beta, delta))
+        run = _run(full.beta, gaussian_circuit, n, full.beta, delta)
         pruning_fidelity = fidelity(full.state, run.state)
-    return SweepRow(n=n, delta=delta, beta=beta, pruned_count=num_pruned,
+    return SweepRow(n=n, delta=delta, beta=full.beta, pruned_count=num_pruned,
                     fidelity=pruning_fidelity, fidelity_bound=pruning_fidelity_bound(n, delta),
                     method="gaussian", **_measured(run, target))
 
@@ -314,13 +303,13 @@ def _gaussian_rows(n: int, config: SweepConfig,
         beta = resolve_beta(n, config.decay_rate, config.beta_mode)
         if isinstance(target, Exception):
             raise target
-        full = _timed_run(lambda: gaussian_circuit(n, beta, 0.0))
+        full = _run(beta, gaussian_circuit, n, beta, 0.0)
     except Exception as exc:
         return [_error_row(n, delta, "gaussian", exc) for delta in config.delta_values]
     rows = []
     for delta in config.delta_values:
         try:
-            rows.append(_gaussian_row(n, delta, beta, target, full))
+            rows.append(_gaussian_row(n, delta, target, full))
         except Exception as exc:
             rows.append(_error_row(n, delta, "gaussian", exc))
     return rows
@@ -329,7 +318,7 @@ def _gaussian_rows(n: int, config: SweepConfig,
 def _baseline_row(n: int, target: TargetDistribution | Exception) -> SweepRow:
     if isinstance(target, Exception):
         raise target
-    measured = _measured(_timed_run(lambda: encode_exact(target.amplitudes, n)), target)
+    measured = _measured(_run(None, encode_exact, target.amplitudes, n), target)
     return SweepRow(n=n, delta=None, beta=None, pruned_count=0,
                     fidelity=measured["fidelity_target"], fidelity_bound=None,
                     method="baseline", **measured)
@@ -392,7 +381,7 @@ def calibrate_beta(decay_rate: float, n: int, delta: float = 0.0) -> Calibration
     def prepared_probs(beta: float) -> np.ndarray:
         if cosines is not None:
             return closed_form_probabilities(n, beta, msb_flipped=True, table=cosines)
-        return state_probabilities(_simulate(gaussian_circuit(n, beta, delta)))
+        return state_probabilities(_run(beta, gaussian_circuit, n, beta, delta).state)
 
     def smoothed_kl(probs: np.ndarray) -> float:
         return kl_from_target(laplace_smooth(probs, SMOOTHING_EPS))

@@ -17,6 +17,7 @@ from .circuits import rotation_angle
 from .statevector import check_simulable
 
 MAX_DFT_LENGTH = 2**16
+DEFAULT_DECAY_RATE = 1.0
 
 
 @dataclass(frozen=True)
@@ -30,7 +31,7 @@ class GaussianSpec:
     calibration both assume [-2, 2).
     """
 
-    decay_rate: float = 1.0
+    decay_rate: float = DEFAULT_DECAY_RATE
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.decay_rate) or self.decay_rate < 0.0:

@@ -10,6 +10,12 @@ from dataclasses import dataclass
 import numpy as np
 
 
+def check_shots(shots: int) -> None:
+    """Refuse a shot count below 1."""
+    if shots < 1:
+        raise ValueError(f"shots must be >= 1, got {shots}")
+
+
 @dataclass(frozen=True)
 class ShotHistogram:
     """Measurement outcome counts for every basis state.
@@ -27,8 +33,7 @@ class ShotHistogram:
     def __post_init__(self) -> None:
         counts = np.asarray(self.counts, dtype=np.int64)
         object.__setattr__(self, "counts", counts)
-        if self.shots < 1:
-            raise ValueError(f"shots must be >= 1, got {self.shots}")
+        check_shots(self.shots)
         if counts.shape != (2**self.num_qubits,):
             raise ValueError(
                 f"expected 2**{self.num_qubits} count bins, got shape {counts.shape}"
@@ -55,8 +60,7 @@ def sample_counts(probs: np.ndarray, shots: int, seed: int) -> ShotHistogram:
         raise ValueError(
             f"probabilities must have power-of-two length >= 2, got shape {probs.shape}"
         )
-    if shots < 1:
-        raise ValueError(f"shots must be >= 1, got {shots}")
+    check_shots(shots)
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
     if np.any(probs < 0.0):

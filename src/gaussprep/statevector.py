@@ -95,13 +95,15 @@ class _Kernels:
     gets the same bits in any layout.
 
     What a gate needs is built at its first use and kept: the halves of
-    each storage bit, the blocks of each pair, the phase of each
-    controlled-phase angle. Temporaries are views of one scratch buffer of
-    half a state, allocated at the first gate that needs one. RY and X need
-    two temporaries of the size of a half, so they run over the halves in
-    two pieces; X and SWAP copy both ways through the scratch buffer,
-    because numpy copies a source that shares the destination's buffer
-    into a hidden temporary of its own first.
+    each storage bit, the controlled-phase block of each pair, the phase of
+    each controlled-phase angle. SWAP blocks are built per gate, since a
+    circuit swaps a pair again only to leave its layout. Temporaries are
+    views of one scratch buffer of half a state, allocated at the first
+    gate that needs one. RY and X need two temporaries of the size of a
+    half, so they run over the halves in two pieces; X and SWAP copy both
+    ways through the scratch buffer, because numpy copies a source that
+    shares the destination's buffer into a hidden temporary of its own
+    first.
     """
 
     def __init__(self, amps: np.ndarray, bits: Sequence[int]) -> None:
@@ -111,7 +113,6 @@ class _Kernels:
         self._scratch: np.ndarray | None = None
         self._halves: list[tuple[np.ndarray, np.ndarray, np.ndarray] | None] = [None] * n
         self._phase_blocks: list[list[np.ndarray | None]] = [[None] * n for _ in range(n)]
-        self._swap_blocks: dict[tuple[int, int], tuple[np.ndarray, ...]] = {}
         self._phases: dict[float, complex] = {}
 
     def run(self, gates: Iterable[GateOp]) -> None:
@@ -213,58 +214,45 @@ class _Kernels:
         block *= phase
 
     def swap(self, p0: int, p1: int) -> None:
-        blocks = self._swap_blocks.get((p0, p1))
-        if blocks is None:
-            view = self._pair_view(p0, p1)
-            v01, v10 = view[:, 0, :, 1, :], view[:, 1, :, 0, :]
-            blocks = (v01, v10, self._temporary(v01), self._temporary(v01, v01.size))
-            self._swap_blocks[p0, p1] = blocks
-        v01, v10, t, u = blocks
+        view = self._pair_view(p0, p1)
+        v01, v10 = view[:, 0, :, 1, :], view[:, 1, :, 0, :]
+        t, u = self._temporary(v01), self._temporary(v01, v01.size)
         np.copyto(t, v01)
         np.copyto(u, v10)
         np.copyto(v01, u)
         np.copyto(v10, t)
 
 
-def _ry_prefix_length(gates: tuple[GateOp, ...]) -> int:
-    """The length of the leading run of RY gates on distinct qubits."""
-    rotated: set[int] = set()
-    for gate in gates:
-        if gate.kind is not GateKind.RY or gate.qubits[0] in rotated:
-            break
-        rotated.add(gate.qubits[0])
-    return len(rotated)
+def _write_ry_prefix(amps: np.ndarray, n: int, gates: tuple[GateOp, ...]) -> int:
+    """Apply the leading run of RY gates on distinct qubits to |0...0> in
+    place, and return the run's length.
 
-
-def _write_ry_prefix(amps: np.ndarray, n: int, prefix: tuple[GateOp, ...]) -> None:
-    """Overwrite |0...0> with the state made by a run of RY gates on
-    distinct qubits.
-
-    That state is a product: an amplitude whose set bits all lie on rotated
-    qubits is the product of one factor per gate, cos(angle/2) where the
-    gate's qubit is 0 and sin(angle/2) where it is 1, and every other
-    amplitude stays 0. The factors are multiplied in gate order, as the
-    gates would multiply them one at a time, so each amplitude equals what
-    the gates give (a zero may differ in sign). The product keeps one axis
-    per rotated qubit in descending qubit order, the order of the bits of a
-    basis index, and its last factor is multiplied straight into the
-    amplitudes.
+    The gates act on the real parts, viewed as a (2,)*n cube whose axes
+    are the qubits in descending order. Before the gate on qubit q every
+    nonzero amplitude has q = 0 and lies in the subspace of the qubits
+    rotated so far, so the gate writes that subspace's q = 0 half a, times
+    sin(angle/2), into its q = 1 half and scales a by cos(angle/2). Each
+    amplitude is the product of one factor per gate, formed in gate order
+    as the gates would form it, so it keeps its bits; the imaginary parts
+    stay zero.
     """
-    product = np.ones(())
-    rotated: list[int] = []  # descending
-    factor = None
-    for gate in prefix:
-        q = gate.qubits[0]
-        if factor is not None:
-            product = product * factor
-        axis = sum(r > q for r in rotated)
-        half = gate.angle / 2.0
-        factor = np.array([math.cos(half), math.sin(half)])
-        factor = factor.reshape((2,) + (1,) * (len(rotated) - axis))
-        rotated.insert(axis, q)
-        product = np.expand_dims(product, axis)
-    index = tuple(slice(None) if q in rotated else 0 for q in range(n - 1, -1, -1))
-    np.multiply(product, factor, out=amps.reshape((2,) * n)[index])
+    cube = amps.real.reshape((2,) * n)
+    zero, one, rotated = slice(0, 1), slice(1, 2), slice(None)  # slices keep views
+    index = [zero] * n
+    for length, gate in enumerate(gates):
+        if gate.kind is not GateKind.RY:
+            return length
+        axis = n - 1 - gate.qubits[0]
+        if index[axis] is rotated:
+            return length
+        index[axis] = one
+        b = cube[tuple(index)]
+        index[axis] = zero
+        a = cube[tuple(index)]
+        np.multiply(a, math.sin(gate.angle / 2.0), out=b)
+        a *= math.cos(gate.angle / 2.0)
+        index[axis] = rotated
+    return len(gates)
 
 
 def _storage_bits(gates: tuple[GateOp, ...], start: int, n: int) -> list[int]:
@@ -275,16 +263,12 @@ def _storage_bits(gates: tuple[GateOp, ...], start: int, n: int) -> list[int]:
     so the busiest qubit gets the top bit, whose halves are the two
     contiguous halves of the array. The exact encoder's tree gives the bit
     reversal; a circuit whose qubits are all equally busy keeps the
-    identity. Every gate is range-checked here.
+    identity.
     """
     counts = [0] * n
-    for i, gate in enumerate(gates):
-        qubits = gate.qubits
-        for q in qubits:
-            if q >= n:
-                raise ValueError(f"qubit index {q} out of range for {n} qubits")
-        if i >= start and len(qubits) == 1:
-            counts[qubits[0]] += 1
+    for gate in itertools.islice(gates, start, None):
+        if len(gate.qubits) == 1:
+            counts[gate.qubits[0]] += 1
     bits = [0] * n
     for p, q in enumerate(sorted(range(n), key=lambda q: (counts[q], q))):
         bits[q] = p
@@ -309,11 +293,12 @@ def apply_circuit(state: StateVector, circuit: Circuit) -> StateVector:
     """Apply every gate of the circuit in list order, in place.
 
     On |0...0> the leading run of RY gates on distinct qubits (the
-    exponential layer of the Gaussian circuit) is written as one product
-    state instead of gate by gate, with the same amplitudes. The other
+    exponential layer of the Gaussian circuit) is written in place on the
+    subspace it rotates, with the amplitudes the gates give. The other
     gates run in the layout `_storage_bits` picks for them, entered and
     left by exact storage-bit swaps done in place; the kernels set each
-    qubit, pair and angle up once and share one scratch buffer.
+    qubit and angle up once and share one scratch buffer. The circuit's
+    qubits were range-checked when it was built.
     """
     if circuit.num_qubits != state.num_qubits:
         raise ValueError(
@@ -323,14 +308,12 @@ def apply_circuit(state: StateVector, circuit: Circuit) -> StateVector:
     gates = circuit.gates
     amps = state.amplitudes
     start = 0
-    if gates and gates[0].kind is GateKind.RY and amps[0] == 1 and not amps[1:].any():
-        start = _ry_prefix_length(gates)
-    bits = _storage_bits(gates, start, n)
-    swaps = _layout_swaps(bits)
-    kernels = _Kernels(amps, bits)
     with _small_ufunc_buffers():
-        if start:
-            _write_ry_prefix(amps, n, gates[:start])
+        if gates and gates[0].kind is GateKind.RY and amps[0] == 1 and not amps[1:].any():
+            start = _write_ry_prefix(amps, n, gates)
+        bits = _storage_bits(gates, start, n)
+        swaps = _layout_swaps(bits)
+        kernels = _Kernels(amps, bits)
         for p0, p1 in swaps:
             kernels.swap(p0, p1)
         kernels.run(itertools.islice(gates, start, None))

@@ -128,6 +128,40 @@ def literal_apply_gate(state: StateVector, gate: GateOp) -> StateVector:
     return state
 
 
+def literal_write_ry_prefix(amps: np.ndarray, n: int, prefix: tuple[GateOp, ...]) -> None:
+    """Overwrite |0...0> with the state made by a run of RY gates on
+    distinct qubits.
+
+    That state is a product: an amplitude whose set bits all lie on rotated
+    qubits is the product of one factor per gate, cos(angle/2) where the
+    gate's qubit is 0 and sin(angle/2) where it is 1, and every other
+    amplitude stays 0. The factors are multiplied in gate order, as the
+    gates would multiply them one at a time, so each amplitude equals what
+    the gates give (a zero may differ in sign). The product keeps one axis
+    per rotated qubit in descending qubit order, the order of the bits of a
+    basis index, and its last factor is multiplied straight into the
+    amplitudes.
+
+    The product formed in separate arrays: the reference whose bits
+    gaussprep.statevector's in-place RY layer must keep.
+    """
+    product = np.ones(())
+    rotated: list[int] = []  # descending
+    factor = None
+    for gate in prefix:
+        q = gate.qubits[0]
+        if factor is not None:
+            product = product * factor
+        axis = sum(r > q for r in rotated)
+        half = gate.angle / 2.0
+        factor = np.array([math.cos(half), math.sin(half)])
+        factor = factor.reshape((2,) + (1,) * (len(rotated) - axis))
+        rotated.insert(axis, q)
+        product = np.expand_dims(product, axis)
+    index = tuple(slice(None) if q in rotated else 0 for q in range(n - 1, -1, -1))
+    np.multiply(product, factor, out=amps.reshape((2,) * n)[index])
+
+
 _QASM_HEADER = 'OPENQASM 2.0;\ninclude "qelib1.inc";\n'
 
 

@@ -11,6 +11,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -221,6 +222,11 @@ class TestCalibrate:
         assert kinds == {"grid", "candidate", "best"}
         assert len(parsed) == 1 + 61 + 2 + 1
 
+    def test_beta_is_a_usage_error(self, capsys):
+        # the search finds beta itself; a given one would go unread
+        assert main(["calibrate", "-n", "8", "--beta", "3"]) == 1
+        assert "unrecognized arguments: --beta 3" in capsys.readouterr().err
+
 
 class TestSample:
     def test_stdout_summary(self, capsys):
@@ -264,6 +270,17 @@ class TestSample:
 
     def test_zero_shots_is_a_runtime_error(self, capsys):
         assert main(["sample", "-n", "3", "--shots", "0"]) == 2
+
+    def test_zero_shots_is_refused_before_the_state_exists(self, capsys):
+        # the 2**26 amplitudes would take 1 GiB
+        tracemalloc.start()
+        try:
+            assert main(["sample", "-n", "26", "--shots", "0"]) == 2
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert capsys.readouterr().err == "gaussprep: error: shots must be >= 1, got 0\n"
+        assert peak < 2**20
 
     def test_negative_seed_is_a_runtime_error_naming_the_seed(self, capsys):
         assert main(["sample", "-n", "3", "--seed", "-1"]) == 2

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import gaussprep.harness as harness
+from conftest import simulate
 from gaussprep import (
     SweepConfig,
     calibrate_beta,
@@ -331,8 +332,8 @@ class TestRunSweep:
     def test_pruned_fidelity_compares_with_the_full_circuit(self):
         (full_row, pruned_row) = run_sweep(SweepConfig(n_values=(11,), delta_values=(0.0, 0.1)))
         beta = pruned_row.beta
-        full = harness._simulate(harness.gaussian_circuit(11, beta, 0.0))
-        pruned = harness._simulate(harness.gaussian_circuit(11, beta, 0.1))
+        full = simulate(harness.gaussian_circuit(11, beta, 0.0))
+        pruned = simulate(harness.gaussian_circuit(11, beta, 0.1))
         assert pruned_row.pruned_count > 0
         assert pruned_row.fidelity == harness.fidelity(full, pruned)
         assert pruned_row.fidelity < 1.0 and full_row.fidelity == 1.0

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from conftest import (
     circuit_matrix,
     literal_apply_gate,
+    literal_write_ry_prefix,
     random_normalized_amplitudes,
     simulate,
 )
@@ -22,6 +23,7 @@ from gaussprep import (
     StateVector,
     apply_circuit,
     apply_gate,
+    build_exponential_layer,
     build_qft,
     cphase,
     dft_oracle,
@@ -246,6 +248,44 @@ def _busy_circuits(draw):
     return Circuit(n, tuple(gates))
 
 
+@st.composite
+def _ry_runs(draw):
+    """RY gates on distinct qubits of 1..10 in any order, then perhaps a
+    repeated qubit, which ends the run, and further RY gates."""
+    n = draw(st.integers(min_value=1, max_value=10))
+    order = draw(st.permutations(range(n)))
+    qubits = order[:draw(st.integers(min_value=0, max_value=n))]
+    gates = [ry(q, draw(_ANGLES)) for q in qubits]
+    if qubits and draw(st.booleans()):
+        gates.append(ry(draw(st.sampled_from(qubits)), draw(_ANGLES)))
+        qubit = st.integers(min_value=0, max_value=n - 1)
+        gates += [ry(q, a) for q, a in draw(st.lists(st.tuples(qubit, _ANGLES), max_size=3))]
+    return Circuit(n, tuple(gates))
+
+
+class TestRyLayerMatchesLiteralProduct:
+    """The RY run written in place on |0...0> against the product formed in
+    separate arrays (conftest), then gate by gate, sign of zero included."""
+
+    @given(_ry_runs())
+    @example(Circuit(1, (ry(0, -0.0),)))
+    @example(Circuit(3, (ry(1, math.pi), ry(2, -0.0), ry(0, 13.0), ry(2, -7.0))))
+    def test_bits(self, circuit):
+        n = circuit.num_qubits
+        run: list[int] = []
+        for gate in circuit.gates:
+            if gate.qubits[0] in run:
+                break
+            run.append(gate.qubits[0])
+        expected = new_zero_state(n)
+        if run:
+            literal_write_ry_prefix(expected.amplitudes, n, circuit.gates[:len(run)])
+        for gate in circuit.gates[len(run):]:
+            literal_apply_gate(expected, gate)
+        state = apply_circuit(new_zero_state(n), circuit)
+        assert np.array_equal(state.amplitudes.view(np.int64), expected.amplitudes.view(np.int64))
+
+
 class TestKernelsMatchLiteralGates:
     """apply_circuit, its kernels and its |0...0> product prefix against the
     per-gate reference in conftest, amplitude for amplitude."""
@@ -294,6 +334,19 @@ class TestKernelsMatchLiteralGates:
 
 
 class TestPeakMemory:
+    def test_exponential_layer_allocates_under_a_hundredth_of_a_state(self):
+        # the layer is written in place, through views of the state
+        n = 18
+        layer = build_exponential_layer(n, resolve_beta(n, 1.0, "heuristic"))
+        state = new_zero_state(n)
+        tracemalloc.start()
+        try:
+            apply_circuit(state, layer)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.01 * state.amplitudes.nbytes
+
     def test_gaussian_circuit_allocates_at_most_one_state(self):
         n = 14
         circuit = gaussian_circuit(n, resolve_beta(n, 1.0, "heuristic"), 0.0123)

@@ -69,7 +69,6 @@ from .statevector import (
     MAX_SIM_QUBITS,
     StateVector,
     apply_circuit,
-    apply_gate,
     inner_product,
     new_zero_state,
     probabilities,
@@ -96,7 +95,6 @@ __all__ = [
     "SweepRow",
     "TargetDistribution",
     "apply_circuit",
-    "apply_gate",
     "build_exponential_layer",
     "build_gaussian_prep",
     "build_qft",

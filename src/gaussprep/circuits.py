@@ -12,7 +12,7 @@ import math
 from dataclasses import FrozenInstanceError, dataclass, field
 from enum import Enum
 from operator import attrgetter
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
     from .reference import GaussianSpec
@@ -130,7 +130,11 @@ def swap(qubit_a: int, qubit_b: int) -> GateOp:
 
 @dataclass(frozen=True)
 class Circuit:
-    """An ordered gate list on a fixed qubit count. Immutable once built."""
+    """An ordered gate list on a fixed qubit count. Immutable once built.
+
+    The constructor is the one way to make a circuit and the one range
+    check of its gates' qubits against the register.
+    """
 
     num_qubits: int
     gates: tuple[GateOp, ...] = field(default_factory=tuple)
@@ -145,21 +149,6 @@ class Circuit:
 
     def __len__(self) -> int:
         return len(self.gates)
-
-    def __iter__(self) -> Iterator[GateOp]:
-        return iter(self.gates)
-
-    def __add__(self, other: "Circuit") -> "Circuit":
-        if not isinstance(other, Circuit):
-            return NotImplemented
-        if self.num_qubits != other.num_qubits:
-            raise ValueError("cannot concatenate circuits of different sizes")
-        # Both operands were range-checked against this register size, so
-        # the joined gates are not checked again.
-        joined = object.__new__(Circuit)
-        object.__setattr__(joined, "num_qubits", self.num_qubits)
-        object.__setattr__(joined, "gates", self.gates + other.gates)
-        return joined
 
 
 _qubits_of = attrgetter("qubits")
@@ -251,10 +240,14 @@ def _check_synth_size(n: int) -> None:
         raise ValueError(f"qubit count {n} exceeds synthesis cap {MAX_SYNTH_QUBITS}")
 
 
+def _layer_gates(n: int, beta: float) -> tuple[GateOp, ...]:
+    return tuple(ry(j, rotation_angle(j, beta)) for j in range(n))
+
+
 def build_exponential_layer(n: int, beta: float) -> Circuit:
     """One RY(rotation_angle(j, beta)) on each qubit j."""
     _check_synth_size(n)
-    return Circuit(n, tuple(ry(j, rotation_angle(j, beta)) for j in range(n)))
+    return Circuit(n, _layer_gates(n, beta))
 
 
 def _kept_angles(n: int, policy: PruningPolicy) -> list[float]:
@@ -274,16 +267,8 @@ def _kept_angles(n: int, policy: PruningPolicy) -> list[float]:
     return angles
 
 
-def build_qft(n: int, policy: PruningPolicy = PruningPolicy(0.0)) -> Circuit:
-    """QFT circuit mapping |j> to (1/sqrt(2^n)) sum_k e^(2*pi*i*j*k/2^n) |k>.
-
-    Standard structure in this package's bit convention: targets are processed
-    from qubit n-1 down to 0; each target gets one H followed by
-    controlled-phase gates of angle pi/2**d toward the qubit at bit-distance d
-    below it (emitted only if the policy keeps the angle), and a trailing layer
-    of floor(n/2) SWAPs reverses the register.
-    """
-    _check_synth_size(n)
+def _qft_gates(n: int, policy: PruningPolicy) -> tuple[GateOp, ...]:
+    """The gates of build_qft, in order."""
     angles = _kept_angles(n, policy)
     gates: list[GateOp] = []
     for target in range(n - 1, -1, -1):
@@ -294,7 +279,20 @@ def build_qft(n: int, policy: PruningPolicy = PruningPolicy(0.0)) -> Circuit:
             gates.append(cphase(target, control, phi))
     for i in range(n // 2):
         gates.append(swap(i, n - 1 - i))
-    return Circuit(n, tuple(gates))
+    return tuple(gates)
+
+
+def build_qft(n: int, policy: PruningPolicy = PruningPolicy(0.0)) -> Circuit:
+    """QFT circuit mapping |j> to (1/sqrt(2^n)) sum_k e^(2*pi*i*j*k/2^n) |k>.
+
+    Standard structure in this package's bit convention: targets are processed
+    from qubit n-1 down to 0; each target gets one H followed by
+    controlled-phase gates of angle pi/2**d toward the qubit at bit-distance d
+    below it (emitted only if the policy keeps the angle), and a trailing layer
+    of floor(n/2) SWAPs reverses the register.
+    """
+    _check_synth_size(n)
+    return Circuit(n, _qft_gates(n, policy))
 
 
 def build_gaussian_prep(
@@ -308,10 +306,7 @@ def build_gaussian_prep(
     Without beta_override, beta is heuristic_beta(spec.decay_rate)."""
     _check_synth_size(n)
     beta = beta_override if beta_override is not None else heuristic_beta(spec.decay_rate)
-    layer = build_exponential_layer(n, beta)
-    qft = build_qft(n, policy)
-    alignment = Circuit(n, (x(n - 1),))
-    return layer + qft + alignment
+    return Circuit(n, _layer_gates(n, beta) + _qft_gates(n, policy) + (x(n - 1),))
 
 
 def full_cphase_count(n: int) -> int:

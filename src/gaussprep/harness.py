@@ -371,8 +371,13 @@ def calibrate_beta(decay_rate: float, n: int, delta: float = 0.0) -> Calibration
         raise ValueError(
             "calibration requires a positive decay rate: a flat target has no width to match"
         )
-    if not 1 <= n <= MAX_CALIBRATION_QUBITS:
-        raise ValueError(f"calibration supports 1..{MAX_CALIBRATION_QUBITS} qubits, got {n}")
+    if n == 1:
+        raise ValueError(
+            "calibration needs at least 2 qubits: at n = 1 the only angle is "
+            "rotation_angle(0, beta) = pi/2 for every beta, so the KL does not depend on beta"
+        )
+    if not 2 <= n <= MAX_CALIBRATION_QUBITS:
+        raise ValueError(f"calibration supports 2..{MAX_CALIBRATION_QUBITS} qubits, got {n}")
     PruningPolicy(delta)  # refuses a negative or non-finite threshold
     target = target_distribution(GaussianSpec(decay_rate=decay_rate), n)
     kl_from_target = kl_divergence_from(target.probabilities)

@@ -6,7 +6,6 @@ computational basis integer; bit j of the index has significance 2**j.
 
 from __future__ import annotations
 
-import contextlib
 import itertools
 import math
 from dataclasses import dataclass
@@ -52,21 +51,6 @@ def new_zero_state(n: int) -> StateVector:
     return StateVector(n, amps)
 
 
-def apply_gate(state: StateVector, gate: GateOp) -> StateVector:
-    """Apply one primitive gate in place and return the state.
-
-    The gate runs through the same kernels as apply_circuit, on the
-    canonical layout, with a scratch buffer of its own.
-    """
-    n = state.num_qubits
-    for q in gate.qubits:
-        if not 0 <= q < n:
-            raise ValueError(f"qubit index {q} out of range for {n} qubits")
-    with _small_ufunc_buffers():
-        _Kernels(state.amplitudes, range(n)).run((gate,))
-    return state
-
-
 # numpy runs a ufunc over a view whose rows are shorter than this through one
 # buffer of this many elements per operand. Its default, 8192, makes the
 # buffers of one H as large as a whole 14-qubit state (and was slower: the
@@ -74,13 +58,6 @@ def apply_gate(state: StateVector, gate: GateOp) -> StateVector:
 # them at 2 KiB, about 0.1 of a 12-qubit state against 0.4 with 512, at the
 # same speed (about 60 ms at n = 18, numpy 2.4).
 _UFUNC_BUFFER_ELEMENTS = 128
-
-
-@contextlib.contextmanager
-def _small_ufunc_buffers() -> Iterator[None]:
-    with np.errstate():  # restores numpy's buffer size on exit
-        np.setbufsize(_UFUNC_BUFFER_ELEMENTS)
-        yield
 
 
 class _Kernels:
@@ -308,7 +285,8 @@ def apply_circuit(state: StateVector, circuit: Circuit) -> StateVector:
     gates = circuit.gates
     amps = state.amplitudes
     start = 0
-    with _small_ufunc_buffers():
+    with np.errstate():  # restores numpy's buffer size on exit
+        np.setbufsize(_UFUNC_BUFFER_ELEMENTS)
         if gates and gates[0].kind is GateKind.RY and amps[0] == 1 and not amps[1:].any():
             start = _write_ry_prefix(amps, n, gates)
         bits = _storage_bits(gates, start, n)

@@ -135,19 +135,6 @@ class TestCircuit:
             Circuit(3, (h(0), cphase(2, 1, 0.5), swap(3, 0), h(4)))
         assert len(Circuit(3, (h(0), cphase(2, 1, 0.5), swap(2, 0)))) == 3
 
-    def test_concatenation_requires_a_circuit(self):
-        with pytest.raises(TypeError):
-            Circuit(2, ()) + (h(0),)
-
-    def test_concatenation_requires_equal_size(self):
-        with pytest.raises(ValueError):
-            Circuit(2, ()) + Circuit(3, ())
-
-    def test_concatenation_preserves_order(self):
-        joined = Circuit(2, (h(0),)) + Circuit(2, (x(1),))
-        assert joined.gates == (h(0), x(1))
-        assert len(joined) == 2
-
 
 class TestRotationAngle:
     def test_j_zero_is_half_pi_for_any_beta(self):
@@ -223,9 +210,9 @@ class TestExponentialLayer:
     def test_one_rotation_per_qubit_with_decreasing_angles(self):
         layer = build_exponential_layer(5, 2.5)
         assert len(layer) == 5
-        assert all(g.kind is GateKind.RY for g in layer)
-        assert [g.qubits[0] for g in layer] == list(range(5))
-        angles = [g.angle for g in layer]
+        assert all(g.kind is GateKind.RY for g in layer.gates)
+        assert [g.qubits[0] for g in layer.gates] == list(range(5))
+        angles = [g.angle for g in layer.gates]
         assert all(a > b for a, b in zip(angles, angles[1:]))
 
 
@@ -384,14 +371,13 @@ class TestBuildGaussianPrep:
 
     def test_is_concatenation_of_the_three_blocks(self):
         spec = GaussianSpec(decay_rate=1.0)
-        policy = PruningPolicy(0.0123)
-        circuit = build_gaussian_prep(8, spec, policy)
-        expected = (
-            build_exponential_layer(8, 2.5)
-            + build_qft(8, policy)
-            + Circuit(8, (x(7),))
-        )
-        assert circuit.gates == expected.gates
+        for delta in (0.0, 0.0123, 0.1):
+            policy = PruningPolicy(delta)
+            for n in range(1, 65):
+                circuit = build_gaussian_prep(n, spec, policy)
+                expected = (build_exponential_layer(n, 2.5).gates + build_qft(n, policy).gates
+                            + (x(n - 1),))
+                assert circuit.gates == expected, (n, delta)
 
     @pytest.mark.parametrize("decay_rate", [0.0, 0.3, 1.0, 2.0])
     def test_default_beta_is_the_heuristic_of_resolve_beta(self, decay_rate):

@@ -202,6 +202,14 @@ class TestSweep:
         payload = json.loads(capsys.readouterr().out)
         assert [row["method"] for row in payload] == ["gaussian", "baseline"]
 
+    def test_baseline_above_its_cap_is_an_error_row(self, capsys):
+        assert main(["sweep", "-n", "17", "--deltas", "0.1", "--include-baseline",
+                     "--format", "json"]) == 0
+        gaussian, baseline = json.loads(capsys.readouterr().out)
+        assert gaussian["error"] is None and gaussian["gate_total"] > 0
+        assert baseline["method"] == "baseline"
+        assert baseline["error"] == "exact encoding is capped at 16 qubits, got 17"
+
 
 class TestCalibrate:
     def test_stdout_summary(self, capsys):
@@ -226,6 +234,25 @@ class TestCalibrate:
         # the search finds beta itself; a given one would go unread
         assert main(["calibrate", "-n", "8", "--beta", "3"]) == 1
         assert "unrecognized arguments: --beta 3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["calibrate", "-n", "1"],
+        ["calibrate", "-n", "1", "--lambda", "3"],
+        ["prepare", "-n", "1", "--beta", "calibrated"],
+    ])
+    def test_one_qubit_is_refused_by_name(self, argv, capsys):
+        # the only angle at n = 1 is pi/2 for every beta: no lambda helps
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("gaussprep: error: calibration needs at least 2 qubits: ")
+        assert "bracket" not in err
+
+    def test_one_qubit_calibrated_sweep_row_names_the_reason(self, capsys):
+        assert main(["sweep", "-n", "1", "2", "--deltas", "0", "--beta", "calibrated",
+                     "--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload[0]["error"].startswith("calibration needs at least 2 qubits: ")
+        assert payload[1]["error"] is None
 
 
 class TestSample:

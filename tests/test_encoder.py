@@ -44,6 +44,12 @@ class TestValidation:
         with pytest.raises(ValueError):
             encode_exact(np.array([1.0]), 0)
 
+    @pytest.mark.parametrize("n", [17, 26, 40])
+    def test_qubit_cap_comes_before_the_target(self, n):
+        # the count is checked first: a 2**n target is never read or built on
+        with pytest.raises(ValueError, match=rf"^exact encoding is capped at 16 qubits, got {n}$"):
+            encode_exact(np.zeros(1), n)
+
 
 class TestExactness:
     def test_point_mass_needs_no_rotation(self):

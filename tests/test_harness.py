@@ -323,6 +323,14 @@ class TestRunSweep:
             ("baseline", "decay_rate must be finite and >= 0, got -1.0"),
         ] * 2
 
+    def test_baseline_above_its_cap_is_an_error_row(self):
+        rows = run_sweep(SweepConfig(n_values=(17,), delta_values=(0.0, 0.1),
+                                     include_baseline=True))
+        assert [(row.method, row.error) for row in rows] == [
+            ("gaussian", None), ("gaussian", None),
+            ("baseline", "exact encoding is capped at 16 qubits, got 17")]
+        assert rows[1].pruned_count > 0 and rows[2].gate_total is None
+
     def test_failed_beta_leaves_the_baseline_row(self):
         rows = run_sweep(SweepConfig(n_values=(3,), delta_values=(0.0,), decay_rate=1e-320,
                                      include_baseline=True))
@@ -407,8 +415,15 @@ class TestCalibrateBeta:
             calibrate_beta(decay_rate, 8)
 
     def test_qubit_cap(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^calibration supports 2\.\.16 qubits, got 17$"):
             calibrate_beta(1.0, 17)
+
+    @pytest.mark.parametrize("decay_rate", [0.1, 1.0, 50.0])
+    def test_one_qubit_is_refused_by_name(self, decay_rate):
+        # rotation_angle(0, beta) is pi/2 for every beta, so the KL is flat
+        with pytest.raises(ValueError, match=r"^calibration needs at least 2 qubits: at n = 1 "
+                                             r"the only angle is rotation_angle\(0, beta\) = pi/2"):
+            calibrate_beta(decay_rate, 1)
 
     def test_negative_delta_rejected(self):
         with pytest.raises(ValueError,

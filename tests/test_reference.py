@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from conftest import literal_closed_form_probabilities, simulate
 from gaussprep import (
+    Circuit,
     GaussianSpec,
     PruningPolicy,
     build_exponential_layer,
@@ -153,7 +154,7 @@ class TestDftOracle:
         alpha = product_amplitudes_oracle(n, 2.5)
         from gaussprep import build_qft
 
-        layer_plus_qft = build_exponential_layer(n, 2.5) + build_qft(n)
+        layer_plus_qft = Circuit(n, build_exponential_layer(n, 2.5).gates + build_qft(n).gates)
         state = simulate(layer_plus_qft)
         np.testing.assert_allclose(state.amplitudes, dft_oracle(alpha), atol=1e-10)
 

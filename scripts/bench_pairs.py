@@ -13,6 +13,12 @@ BENCHMARK.json the summary gives each side's median and quartiles
 in how many pairs the change was better. The file is written to the
 root of the checkout this script belongs to.
 
+`--layers [N ...]` also times one layer, the Gaussian circuit's
+`apply_circuit` (lambda 1, delta 0.0123) at each N (default 18 20 22), in
+LAYER_PAIRS pairs of fresh processes, one per side, alternating sides in
+the same way; a process records the best of three runs at each N. Those
+pairs and their summary go under "layers".
+
 Standard library only: it runs with any Python 3.9+, whatever the
 checkouts import.
 """
@@ -21,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -28,6 +35,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
+LAYER_PAIRS = 5
 CLAIM_RULE = ("change better in at least 9 of 10 pairs and median gain larger than "
               "the parent's interquartile range")
 
@@ -46,6 +54,49 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> tuple[
     record = {key: result[key] for key in ("attempted", "failed", "correct")}
     record.update((name, metric["value"]) for name, metric in result["metrics"].items())
     return record, env
+
+
+# Run in a fresh process with the checkout's src first on the path; prints
+# {"gaussian_apply_circuit_n<N>_s": best of three, ...}. Only names that
+# every checkout exports.
+_LAYER_PROBE = """
+import json, sys, time
+from gaussprep import GaussianSpec, PruningPolicy, apply_circuit, build_gaussian_prep, new_zero_state
+out = {}
+for n in map(int, sys.argv[1:]):
+    circuit = build_gaussian_prep(n, GaussianSpec(decay_rate=1.0), PruningPolicy(0.0123))
+    times = []
+    for _ in range(3):
+        state = new_zero_state(n)
+        start = time.perf_counter()
+        apply_circuit(state, circuit)
+        times.append(time.perf_counter() - start)
+    out[f"gaussian_apply_circuit_n{n}_s"] = min(times)
+print(json.dumps(out))
+"""
+
+
+def time_layer(checkout: Path, qubits: list[int]) -> dict[str, float]:
+    """One fresh process's best-of-three apply_circuit time at each n."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(checkout / "src"), env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", _LAYER_PROBE, *map(str, qubits)], cwd=checkout,
+                          env=env, capture_output=True, text=True)
+    if done.returncode != 0:
+        raise RuntimeError(f"{checkout}: layer timing failed (exit {done.returncode}):\n{done.stderr}")
+    return json.loads(done.stdout.strip().splitlines()[-1])
+
+
+def layer_pairs(checkouts: dict[str, Path], qubits: list[int], count: int) -> dict:
+    """`count` pairs of layer timings, alternating sides, and their summary."""
+    pairs = []
+    for index in range(count):
+        order = SIDES if index % 2 == 0 else SIDES[::-1]
+        pair = {"pair": index + 1, "first": order[0]}
+        for side in order:
+            pair[side] = time_layer(checkouts[side], qubits)
+        pairs.append(pair)
+    return {"pairs": pairs, "summary": summary(pairs, {name: "lower" for name in pairs[0]["parent"]})}
 
 
 def summary(pairs: list[dict], better: dict[str, str]) -> dict:
@@ -75,7 +126,10 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--parent", type=Path, required=True, help="checkout of the parent commit")
     parser.add_argument("--change", type=Path, required=True, help="checkout of the change")
     parser.add_argument("--name", required=True, help="the file is BENCH_<name>.json")
-    parser.add_argument("--runs", nargs="+", required=True, metavar="WORKLOAD=PAIRS")
+    parser.add_argument("--runs", nargs="*", default=[], metavar="WORKLOAD=PAIRS")
+    parser.add_argument("--layers", nargs="*", type=int, metavar="N",
+                        help="also time the Gaussian apply_circuit at these qubit counts "
+                             "(default 18 20 22)")
     parser.add_argument("--seed", type=int, default=11)
     parser.add_argument("--seconds", type=float, default=20.0)
     parser.add_argument("--claim", metavar="WORKLOAD:METRIC", help="the gain the change claims")
@@ -112,6 +166,9 @@ def main(argv: list[str] | None = None) -> int:
         workload, metric = args.claim.split(":")
         record["claim"] = {"workload": workload, "metric": metric, "rule": CLAIM_RULE}
     record["workloads"] = workloads
+    if args.layers is not None:
+        qubits = args.layers or [18, 20, 22]
+        record["layers"] = layer_pairs(checkouts, qubits, LAYER_PAIRS)
     path = ROOT / f"BENCH_{args.name}.json"
     path.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {path}", file=sys.stderr)

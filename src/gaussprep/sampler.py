@@ -78,8 +78,8 @@ def sample_counts(probs: np.ndarray, shots: int, seed: int) -> ShotHistogram:
     # bincount below ignores their order, so the counts do not change.
     draws.sort()
     indices = np.searchsorted(cdf, draws, side="right")
-    indices = np.minimum(indices, probs.size - 1)
-    counts = np.bincount(indices, minlength=probs.size).astype(np.int64)
+    np.minimum(indices, probs.size - 1, out=indices)
+    counts = np.bincount(indices, minlength=probs.size).astype(np.int64, copy=False)
     return ShotHistogram(num_qubits=num_qubits, shots=shots, seed=seed, counts=counts)
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -59,43 +59,129 @@ def new_zero_state(n: int) -> StateVector:
 # same speed (about 60 ms at n = 18, numpy 2.4).
 _UFUNC_BUFFER_ELEMENTS = 128
 
+# A gate on a state whose halves are larger than 2**_CHUNK_BITS amplitudes
+# runs over them in chunks of that many, and an H runs the controlled phases
+# that follow it on its qubit chunk by chunk with it, so that the passes of
+# one H and its phases stay in the L2 cache. 14 (a 256 KiB chunk) was the
+# fastest for the Gaussian circuit at n = 18..22 (2 MiB of L2 per core;
+# 13 was as fast, 12 and 15..16 slower). At least 2: numpy multiplies a
+# lone complex amplitude by a loop whose result can differ in the last bit
+# from its loop over two or more, and a chunk of 2**_CHUNK_BITS >= 4
+# amplitudes leaves every controlled-phase block two or more.
+_CHUNK_BITS = 14
+
+# From this many qubits on, the gates after the RY prefix run in two layouts,
+# one per half; below it, in one. Two layouts cost a second count of the
+# gates and the storage-bit swaps between them, and were faster from n = 9
+# on for the Gaussian circuit (1.60 -> 1.21 ms at n = 12) and for
+# `encode_exact` (93 -> 86 ms at n = 10), but not at n = 6..8.
+_SWITCH_MIN_QUBITS = 9
+
+
+def _cuts(shape: tuple[int, ...], size: int) -> tuple[list[tuple[slice, ...]], tuple[int, ...]]:
+    """Index tuples that cut an array of this shape, whose axes are powers of
+    two, into pieces of one shape with at most `size` elements each, and
+    that shape: the trailing axes that fit whole, a run along the next
+    axis, and one index (as a length-1 slice, which keeps the axis) of
+    every axis before it."""
+    axis, inner = len(shape), 1
+    while axis and inner * shape[axis - 1] <= size:
+        axis -= 1
+        inner *= shape[axis]
+    if not axis:
+        return [()], shape
+    step = size // inner
+    cuts = [tuple(slice(i, i + 1) for i in outer) + (slice(j, j + step),)
+            for outer in itertools.product(*map(range, shape[:axis - 1]))
+            for j in range(0, shape[axis - 1], step)]
+    return cuts, (1,) * (axis - 1) + (step,) + shape[axis:]
+
+
+def _control_block(b: np.ndarray, p: int, pc: int, base: int) -> np.ndarray | None:
+    """Where storage bit pc is set in the chunk b of storage bit p's set
+    half: a view of b, b itself, or None. The chunk is a run of whole rows of
+    the half (the row bits from p + 1 up vary in it) or a run within one
+    row; base is the index of its first amplitude, which gives every bit
+    that does not vary."""
+    rows, cols = b.shape
+    if pc < cols.bit_length() - 1:
+        return b.reshape(rows, -1, 2, 1 << pc)[:, :, 1]
+    if p < pc < p + rows.bit_length():
+        return b.reshape(-1, 2, 1 << (pc - p - 1), cols)[:, 1]
+    return b if base >> pc & 1 else None
+
 
 class _Kernels:
-    """The five gate kernels on one amplitude array, with the qubits stored
-    in a given layout: qubit q lives at storage bit bits[q].
+    """The five gate kernels on one amplitude array whose qubits are stored
+    in a layout that changes as the circuit runs: qubit q lives at storage
+    bit bits[q], the identity at first.
 
+    A SWAP gate exchanges two entries of bits and moves no amplitude.
+    `relayout` moves the amplitudes to a new layout by storage-bit swaps.
     A one-qubit gate on storage bit p updates the halves a, b of the view
     amps.reshape(-1, 2, 2**p), which have the bit clear and set; a
-    two-qubit gate updates the blocks of the view (high, bit hi, middle,
-    bit lo, low). Every update runs in place, in the order of
-    floating-point operations of the textbook product, so each amplitude
-    gets the same bits in any layout.
+    controlled phase multiplies the block of the view (high, bit hi,
+    middle, bit lo, low) where both bits are set. Every update runs in
+    place, in the order of floating-point operations of the textbook
+    product, so each amplitude gets the same bits in any layout and in any
+    chunking.
 
-    What a gate needs is built at its first use and kept: the halves of
-    each storage bit, the controlled-phase block of each pair, the phase of
-    each controlled-phase angle. SWAP blocks are built per gate, since a
-    circuit swaps a pair again only to leave its layout. Temporaries are
-    views of one scratch buffer of half a state, allocated at the first
-    gate that needs one. RY and X need two temporaries of the size of a
-    half, so they run over the halves in two pieces; X and SWAP copy both
-    ways through the scratch buffer, because numpy copies a source that
-    shares the destination's buffer into a hidden temporary of its own
-    first.
+    Halves of more than 2**_CHUNK_BITS amplitudes are cut into chunks of
+    that many, and every kernel runs chunk by chunk.
+    Temporaries are views of one scratch buffer of two chunks, or of half a
+    state when that is smaller, allocated at the first gate that needs one.
+    H needs one temporary of a chunk's size; RY, X and storage-bit swaps
+    need two, so where the buffer holds half a state they run over the
+    halves in two pieces. X and the swaps copy both ways through the
+    scratch buffer, because numpy copies a source that shares the
+    destination's buffer into a hidden temporary of its own first.
+
+    What a gate needs is built at its first use and kept: each storage
+    bit's halves and chunks, the controlled-phase block of each pair, the
+    phase of each controlled-phase angle. The pieces of RY, X and the swaps
+    are sliced at each call: their views, kept for every bit, would add
+    about a sixth of a 12-qubit state to the executor's memory.
     """
 
-    def __init__(self, amps: np.ndarray, bits: Sequence[int]) -> None:
+    def __init__(self, amps: np.ndarray, n: int) -> None:
         self.amps = amps
-        self.bits = bits
-        n = len(bits)
+        self.bits = list(range(n))
+        half = amps.size // 2
+        self._chunked = half > 1 << _CHUNK_BITS
+        self._scratch_size = max(min(half, 2 << _CHUNK_BITS), 2)  # two elements at n = 1
         self._scratch: np.ndarray | None = None
         self._halves: list[tuple[np.ndarray, np.ndarray, np.ndarray] | None] = [None] * n
+        self._chunks: list[list[tuple[np.ndarray, np.ndarray, int]] | None] = [None] * n
         self._phase_blocks: list[list[np.ndarray | None]] = [[None] * n for _ in range(n)]
         self._phases: dict[float, complex] = {}
 
-    def run(self, gates: Iterable[GateOp]) -> None:
-        """Apply the gates in order."""
+    def run(self, gates: tuple[GateOp, ...], begin: int, end: int) -> None:
+        """Apply gates[begin:end] in order; on a chunked state each H runs
+        chunk by chunk with the controlled phases on its qubit that follow
+        it."""
+        if not self._chunked:
+            self._run_each(itertools.islice(gates, begin, end))
+            return
+        bits, i = self.bits, begin
+        while i < end:
+            gate = gates[i]
+            i += 1
+            if gate.kind is not GateKind.H:
+                self._run_each((gate,))
+                continue
+            q = gate.qubits[0]
+            controls = []
+            while i < end and gates[i].kind is GateKind.CPHASE and q in gates[i].qubits:
+                q0, q1 = gates[i].qubits
+                controls.append((bits[q1 if q0 == q else q0], self._phase(gates[i].angle)))
+                i += 1
+            self.hadamard_chunks(bits[q], controls)
+
+    def _run_each(self, gates: Iterable[GateOp]) -> None:
+        """Apply the gates one by one (an H only on a state that is not
+        chunked)."""
         bits = self.bits
-        hadamard, cphase, ry, swap, x = self.hadamard, self.cphase, self.ry, self.swap, self.x
+        hadamard, cphase, ry, x = self.hadamard, self.cphase, self.ry, self.x
         for gate in gates:
             kind = gate.kind
             if kind is GateKind.H:
@@ -107,48 +193,93 @@ class _Kernels:
                 ry(bits[gate.qubits[0]], gate.angle)
             elif kind is GateKind.SWAP:
                 q0, q1 = gate.qubits
-                swap(bits[q0], bits[q1])
+                bits[q0], bits[q1] = bits[q1], bits[q0]
             elif kind is GateKind.X:
                 x(bits[gate.qubits[0]])
             else:  # pragma: no cover - GateKind is closed
                 raise ValueError(f"unknown gate kind {gate.kind}")
 
-    def _temporary(self, like: np.ndarray, offset: int = 0) -> np.ndarray:
-        """A view of the scratch buffer, from `offset` on, shaped like `like`."""
+    def relayout(self, target: Sequence[int]) -> None:
+        """Move each qubit q to storage bit target[q] by storage-bit swaps:
+        at most n - 1, and n // 2 between a layout and its bit reversal."""
+        bits = self.bits
+        holder = [0] * len(bits)  # the qubit each storage bit holds
+        for q, p in enumerate(bits):
+            holder[p] = q
+        for q, p in enumerate(target):
+            here = bits[q]
+            if here != p:
+                self.swap(here, p)
+                other = holder[p]
+                bits[q], bits[other] = p, here
+                holder[here], holder[p] = other, q
+
+    def _temporaries(self, shape: tuple[int, ...], size: int, count: int) -> list[np.ndarray]:
+        """`count` views of the scratch buffer of this shape and size, one
+        after the other."""
         if self._scratch is None:
-            # two elements at n = 1, where a half is one amplitude
-            self._scratch = np.empty(max(self.amps.size // 2, 2), dtype=np.complex128)
-        return self._scratch[offset:offset + like.size].reshape(like.shape)
+            self._scratch = np.empty(self._scratch_size, dtype=np.complex128)
+        scratch = self._scratch
+        return [scratch[i * size:(i + 1) * size].reshape(shape) for i in range(count)]
 
     def _halves_of(self, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The halves of storage bit p and a temporary of their shape."""
+        """The halves of storage bit p and a temporary of the shape of their
+        chunks (of the halves, on a state that is not chunked)."""
         halves = self._halves[p]
         if halves is None:
             view = self.amps.reshape(-1, 2, 1 << p)
             a = view[:, 0]
-            halves = self._halves[p] = (a, view[:, 1], self._temporary(a))
+            shape = _cuts(a.shape, 1 << _CHUNK_BITS)[1]
+            t, = self._temporaries(shape, math.prod(shape), 1)
+            halves = self._halves[p] = (a, view[:, 1], t)
         return halves
 
-    def _pieces_of(self, p: int) -> Iterator[tuple[np.ndarray, ...]]:
-        """The halves of storage bit p as (a, b, t, u) pieces, where t and u
-        are two temporaries of the piece's shape: one piece where the
-        scratch buffer holds two halves (n = 1), else two. The halves are
-        cut along their outer axis where it has two rows or more, so that no
-        piece straddles the rows of a contiguous half. The pieces are sliced
-        at each call: their six views per bit, kept for every bit, would add
-        about a sixth of a 12-qubit state to the executor's memory."""
+    def _chunks_of(self, p: int) -> list[tuple[np.ndarray, np.ndarray, int]]:
+        """The chunks of storage bit p's halves as (a, b, base), base the
+        index of the first amplitude of b."""
+        chunks = self._chunks[p]
+        if chunks is None:
+            a, b, _ = self._halves_of(p)
+            origin = self.amps.__array_interface__["data"][0]
+            chunks = self._chunks[p] = []
+            for cut in _cuts(a.shape, 1 << _CHUNK_BITS)[0]:
+                b_cut = b[cut]
+                base = (b_cut.__array_interface__["data"][0] - origin) // b_cut.itemsize
+                chunks.append((a[cut], b_cut, base))
+        return chunks
+
+    def _pieces_of(self, a: np.ndarray, b: np.ndarray) -> tuple:
+        """a and b, two views of one shape, cut into pieces (a, b) for which
+        the scratch buffer holds two temporaries, and those temporaries."""
+        cuts, shape = _cuts(a.shape, self._scratch_size // 2)
+        t, u = self._temporaries(shape, math.prod(shape), 2)
+        return [(a[cut], b[cut]) for cut in cuts], t, u
+
+    def _half_pieces(self, p: int) -> tuple:
+        """`_pieces_of` the halves of storage bit p. On a state that is not
+        chunked the halves are cut in two along their outer axis where it
+        has two rows or more (one piece at n = 1), and the temporaries are
+        the two pieces of the H temporary, which keeps the many RY gates of
+        a small circuit cheap and keeps nothing per bit."""
         a, b, t = self._halves_of(p)
-        if self._scratch.size >= 2 * a.size:
-            yield a, b, t, self._temporary(a, a.size)
-            return
+        if self._chunked:
+            return self._pieces_of(a, b)
+        if self._scratch_size >= 2 * a.size:
+            return [(a, b)], t, self._scratch[a.size:2 * a.size].reshape(a.shape)
         rows, cols = a.shape
         if rows > 1:
             cuts = (slice(None, rows // 2),), (slice(rows // 2, None),)
         else:
             cuts = (slice(None), slice(None, cols // 2)), (slice(None), slice(cols // 2, None))
-        t, u = t[cuts[0]], t[cuts[1]]
-        for cut in cuts:
-            yield a[cut], b[cut], t, u
+        return [(a[cut], b[cut]) for cut in cuts], t[cuts[0]], t[cuts[1]]
+
+    def _phase(self, angle: float) -> complex:
+        phase = self._phases.get(angle)
+        if phase is None:
+            phase = complex(math.cos(angle), math.sin(angle))
+            if angle:  # 0.0 and -0.0 are one key but give phases of different bits
+                self._phases[angle] = phase
+        return phase
 
     def hadamard(self, p: int) -> None:
         a, b, t = self._halves_of(p)
@@ -157,9 +288,24 @@ class _Kernels:
         a *= _SQRT1_2
         np.multiply(t, _SQRT1_2, out=b)
 
+    def hadamard_chunks(self, p: int, controls: Sequence[tuple[int, complex]]) -> None:
+        """H on storage bit p, then each (storage bit, phase) of `controls`
+        as a controlled phase between that bit and p, chunk by chunk."""
+        t = self._halves_of(p)[2]
+        for a, b, base in self._chunks_of(p):
+            np.subtract(a, b, out=t)
+            a += b
+            a *= _SQRT1_2
+            np.multiply(t, _SQRT1_2, out=b)
+            for pc, phase in controls:
+                block = _control_block(b, p, pc, base)
+                if block is not None:
+                    block *= phase
+
     def ry(self, p: int, angle: float) -> None:
         c, s = math.cos(angle / 2.0), math.sin(angle / 2.0)
-        for a, b, sa, sb in self._pieces_of(p):
+        pieces, sa, sb = self._half_pieces(p)
+        for a, b in pieces:
             np.multiply(a, s, out=sa)
             np.multiply(b, s, out=sb)
             a *= c
@@ -168,7 +314,16 @@ class _Kernels:
             b += sa
 
     def x(self, p: int) -> None:
-        for a, b, t, u in self._pieces_of(p):
+        self._exchange(*self._half_pieces(p))
+
+    def swap(self, p0: int, p1: int) -> None:
+        """Exchange the amplitudes of storage bits p0 and p1."""
+        view = self._pair_view(p0, p1)
+        self._exchange(*self._pieces_of(view[:, 0, :, 1, :], view[:, 1, :, 0, :]))
+
+    @staticmethod
+    def _exchange(pieces: list, t: np.ndarray, u: np.ndarray) -> None:
+        for a, b in pieces:
             np.copyto(t, a)
             np.copyto(u, b)
             np.copyto(a, u)
@@ -184,20 +339,7 @@ class _Kernels:
         if block is None:
             block = row[p1] = self._pair_view(p0, p1)[:, 1, :, 1, :]
         phase = self._phases.get(angle)
-        if phase is None:
-            phase = complex(math.cos(angle), math.sin(angle))
-            if angle:  # 0.0 and -0.0 are one key but give phases of different bits
-                self._phases[angle] = phase
-        block *= phase
-
-    def swap(self, p0: int, p1: int) -> None:
-        view = self._pair_view(p0, p1)
-        v01, v10 = view[:, 0, :, 1, :], view[:, 1, :, 0, :]
-        t, u = self._temporary(v01), self._temporary(v01, v01.size)
-        np.copyto(t, v01)
-        np.copyto(u, v10)
-        np.copyto(v01, u)
-        np.copyto(v10, t)
+        block *= self._phase(angle) if phase is None else phase
 
 
 def _write_ry_prefix(amps: np.ndarray, n: int, gates: tuple[GateOp, ...]) -> int:
@@ -232,38 +374,53 @@ def _write_ry_prefix(amps: np.ndarray, n: int, gates: tuple[GateOp, ...]) -> int
     return len(gates)
 
 
-def _storage_bits(gates: tuple[GateOp, ...], start: int, n: int) -> list[int]:
-    """The layout of a circuit: the storage bit of each qubit.
+def _segments(gates: tuple[GateOp, ...], start: int, n: int) -> list[tuple[int, int]]:
+    """The runs of gates from `start` on that get a layout each: two, split
+    at the median one-qubit gate, from _SWITCH_MIN_QUBITS qubits on and
+    where there are two one-qubit gates; otherwise one."""
+    end = len(gates)
+    if n >= _SWITCH_MIN_QUBITS:
+        count = sum(len(gate.qubits) == 1 for gate in itertools.islice(gates, start, None))
+        if count >= 2:
+            one_qubit = (i for i in range(start, end) if len(gates[i].qubits) == 1)
+            middle = next(itertools.islice(one_qubit, count // 2, None))
+            return [(start, middle), (middle, end)]
+    return [(start, end)]
 
-    Qubits are ranked by how many one-qubit gates from `start` on act on
-    them, ties by qubit index, and take the storage bits from the bottom up,
-    so the busiest qubit gets the top bit, whose halves are the two
-    contiguous halves of the array. The exact encoder's tree gives the bit
-    reversal; a circuit whose qubits are all equally busy keeps the
-    identity.
+
+def _storage_bits(gates: tuple[GateOp, ...], begin: int, end: int, n: int,
+                  entry: Sequence[int] | None = None) -> list[int]:
+    """The layout for gates[begin:end]: the storage bit of each qubit as the
+    run starts.
+
+    The run's SWAPs are relabels, so each gate is counted on the qubit that
+    held its qubit's amplitudes at `begin`. Qubits are ranked by how many
+    one-qubit gates act on them and take the storage bits from the bottom
+    up, so the busiest qubit gets the top bit, whose halves are the two
+    contiguous halves of the array. Ties keep the storage bits of `entry`
+    when it is given, and otherwise those of the layout that the run's
+    SWAPs turn into the identity, so that a run whose counts tie ends in
+    the identity. The exact encoder's whole tree gets the bit reversal
+    (half its gates are on qubit 0); a whole QFT, and the second half of
+    one, gets the bit reversal, which its SWAPs turn into the identity.
     """
+    holder = list(range(n))  # the qubit at `begin` that each qubit now stands for
     counts = [0] * n
-    for gate in itertools.islice(gates, start, None):
-        if len(gate.qubits) == 1:
-            counts[gate.qubits[0]] += 1
+    for gate in itertools.islice(gates, begin, end):
+        qubits = gate.qubits
+        if len(qubits) == 1:
+            counts[holder[qubits[0]]] += 1
+        elif gate.kind is GateKind.SWAP:
+            q0, q1 = qubits
+            holder[q0], holder[q1] = holder[q1], holder[q0]
+    if entry is None:
+        entry = [0] * n
+        for q, origin in enumerate(holder):
+            entry[origin] = q
     bits = [0] * n
-    for p, q in enumerate(sorted(range(n), key=lambda q: (counts[q], q))):
+    for p, q in enumerate(sorted(range(n), key=lambda q: (counts[q], entry[q]))):
         bits[q] = p
     return bits
-
-
-def _layout_swaps(bits: list[int]) -> list[tuple[int, int]]:
-    """Storage-bit swaps that move each qubit q from bit q to bits[q], at
-    most n - 1 of them (n // 2 for the bit reversal); run in reverse order
-    they move every qubit back."""
-    holder = list(range(len(bits)))  # the qubit each storage bit holds
-    swaps = []
-    for q, target in enumerate(bits):
-        p = holder.index(q)
-        if p != target:
-            swaps.append((p, target))
-            holder[p], holder[target] = holder[target], q
-    return swaps
 
 
 def apply_circuit(state: StateVector, circuit: Circuit) -> StateVector:
@@ -272,10 +429,16 @@ def apply_circuit(state: StateVector, circuit: Circuit) -> StateVector:
     On |0...0> the leading run of RY gates on distinct qubits (the
     exponential layer of the Gaussian circuit) is written in place on the
     subspace it rotates, with the amplitudes the gates give. The other
-    gates run in the layout `_storage_bits` picks for them, entered and
-    left by exact storage-bit swaps done in place; the kernels set each
-    qubit and angle up once and share one scratch buffer. The circuit's
-    qubits were range-checked when it was built.
+    gates run in the layouts `_storage_bits` picks for the runs of
+    `_segments`: the first of two keeps the entry layout where its counts
+    tie, the last the layout its SWAPs turn into the identity. For the QFT
+    that is the identity for the targets n - 1 .. n // 2 and the bit
+    reversal for the rest, so that every H acts on an upper storage bit
+    and the n // 2 storage-bit swaps of the switch replace the SWAP tail.
+    Layouts are entered and left by exact storage-bit swaps done in place,
+    and the state ends in the identity layout. The kernels set each qubit
+    and angle up once and share one scratch buffer. The circuit's qubits
+    were range-checked when it was built.
     """
     if circuit.num_qubits != state.num_qubits:
         raise ValueError(
@@ -289,14 +452,13 @@ def apply_circuit(state: StateVector, circuit: Circuit) -> StateVector:
         np.setbufsize(_UFUNC_BUFFER_ELEMENTS)
         if gates and gates[0].kind is GateKind.RY and amps[0] == 1 and not amps[1:].any():
             start = _write_ry_prefix(amps, n, gates)
-        bits = _storage_bits(gates, start, n)
-        swaps = _layout_swaps(bits)
-        kernels = _Kernels(amps, bits)
-        for p0, p1 in swaps:
-            kernels.swap(p0, p1)
-        kernels.run(itertools.islice(gates, start, None))
-        for p0, p1 in reversed(swaps):
-            kernels.swap(p0, p1)
+        kernels = _Kernels(amps, n)
+        segments = _segments(gates, start, n)
+        for i, (begin, end) in enumerate(segments):
+            entry = kernels.bits if i + 1 < len(segments) else None
+            kernels.relayout(_storage_bits(gates, begin, end, n, entry))
+            kernels.run(gates, begin, end)
+        kernels.relayout(range(n))
     return state
 
 

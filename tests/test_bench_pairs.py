@@ -1,9 +1,11 @@
 """scripts/bench_pairs.py: the summary written into the committed
-BENCH_*.json files, on synthetic pairs."""
+BENCH_*.json files, on synthetic pairs, and the layer timings, run on
+this checkout at a tiny n."""
 
 from __future__ import annotations
 
 import importlib.util
+import json
 from pathlib import Path
 
 _PATH = Path(__file__).resolve().parent.parent / "scripts" / "bench_pairs.py"
@@ -43,3 +45,25 @@ class TestSummary:
         assert out["t"]["parent_quartiles"] == [2.0, 2.0]
         assert out["t"]["change_quartiles"] == [2.0, 2.0]
         assert out["t"]["change_wins"] == "0/1"
+
+
+class TestLayers:
+    def test_layer_timings_at_a_tiny_n(self, tmp_path, monkeypatch):
+        # both sides are this checkout; the file goes to tmp_path
+        root = Path(__file__).resolve().parent.parent
+        (tmp_path / "BENCHMARK.json").write_bytes((root / "BENCHMARK.json").read_bytes())
+        monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)
+        monkeypatch.setattr(bench_pairs, "LAYER_PAIRS", 2)
+        code = bench_pairs.main(["--parent", str(root), "--change", str(root), "--name", "layers",
+                                 "--layers", "3", "--what", "a test"])
+        assert code == 0
+        record = json.loads((tmp_path / "BENCH_layers.json").read_text(encoding="utf-8"))
+        assert record["workloads"] == {}
+        pairs = record["layers"]["pairs"]
+        assert [pair["first"] for pair in pairs] == ["parent", "change"]
+        for pair in pairs:
+            for side in bench_pairs.SIDES:
+                assert list(pair[side]) == ["gaussian_apply_circuit_n3_s"]
+                assert 0.0 < pair[side]["gaussian_apply_circuit_n3_s"] < 1.0
+        entry = record["layers"]["summary"]["gaussian_apply_circuit_n3_s"]
+        assert entry["change_wins"].endswith("/2")

@@ -5,7 +5,9 @@ preceded the periodic closed form, the single-pass calibration grid and
 the sorted shot lookup; those changes must leave every byte unchanged.
 The n = 14 and n = 16 calibration files were written by the implementation
 that preceded the shared cosine table, the tiled short-period factors and
-the once-prepared KL target.
+the once-prepared KL target. The n = 18 `sample` and n = 20 `prepare`
+files were written by the executor that ran the QFT's SWAPs as gates in
+one layout, before SWAP relabels, the layout switch and chunked kernels.
 """
 
 from __future__ import annotations
@@ -61,6 +63,22 @@ def test_sample_stdout_and_histogram(tmp_path, capsys):
     assert code == 0
     assert stdout == (GOLDEN / "sample_n5.stdout").read_text(encoding="utf-8")
     assert out.read_bytes() == (GOLDEN / "sample_n5.csv").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "stem, argv",
+    [
+        # op 1 of the benchmark's dense-n18 workload at seed 0
+        ("sample_n18_dense", ["sample", "-n", "18", "--shots", "262144", "--seed", "783028455",
+                              "--lambda", "1.3786810564361656"]),
+        ("prepare_n20", ["prepare", "-n", "20"]),
+    ],
+    ids=["sample-n18", "prepare-n20"],
+)
+def test_large_state_stdout(stem, argv, capsys):
+    code, stdout = run_cli(argv, capsys)
+    assert code == 0
+    assert stdout == (GOLDEN / f"{stem}.stdout").read_text(encoding="utf-8")
 
 
 @pytest.mark.parametrize(

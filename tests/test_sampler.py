@@ -3,6 +3,8 @@ convergence of empirical frequencies toward the exact distribution."""
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -76,6 +78,20 @@ class TestSampleCounts:
     def test_zero_shots_rejected(self):
         with pytest.raises(ValueError):
             sample_counts(np.array([0.5, 0.5]), shots=0, seed=0)
+
+
+    def test_allocates_two_shot_arrays(self):
+        # the draws and their indices; the clamp and the int64 counts are
+        # done in place (three shot arrays with a clamped copy)
+        probs = np.full(16, 1.0 / 16)
+        shots = 1 << 20
+        tracemalloc.start()
+        try:
+            sample_counts(probs, shots, 7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.1 * 8 * shots
 
 
 class TestTvDistance:

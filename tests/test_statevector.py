@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import math
 import tracemalloc
 
@@ -19,6 +20,7 @@ from conftest import (
 )
 from gaussprep import (
     Circuit,
+    GateKind,
     GateOp,
     GaussianSpec,
     StateVector,
@@ -38,8 +40,9 @@ from gaussprep import (
     target_distribution,
     x,
 )
+from gaussprep import statevector
 from gaussprep.harness import gaussian_circuit
-from gaussprep.statevector import MAX_SIM_QUBITS, _storage_bits
+from gaussprep.statevector import MAX_SIM_QUBITS, _segments, _storage_bits
 
 SQRT1_2 = 1.0 / math.sqrt(2.0)
 
@@ -206,6 +209,26 @@ def _assert_bits_match_literal_gates(amplitudes: np.ndarray, circuit: Circuit) -
     assert np.array_equal(state.amplitudes.view(np.int64), expected.view(np.int64))
 
 
+def _assert_bits_match_literal_from_zero(circuit: Circuit) -> None:
+    """apply_circuit on |0...0> against the reference of its RY prefix: the
+    leading run of RY gates on distinct qubits as the product formed in
+    separate arrays (conftest), then the other gates one by one. Every
+    amplitude has the reference's bits, the sign of a zero included."""
+    n = circuit.num_qubits
+    run: list[int] = []
+    for gate in circuit.gates:
+        if gate.kind is not GateKind.RY or gate.qubits[0] in run:
+            break
+        run.append(gate.qubits[0])
+    expected = new_zero_state(n)
+    if run:
+        literal_write_ry_prefix(expected.amplitudes, n, circuit.gates[:len(run)])
+    for gate in circuit.gates[len(run):]:
+        literal_apply_gate(expected, gate)
+    state = apply_circuit(new_zero_state(n), circuit)
+    assert np.array_equal(state.amplitudes.view(np.int64), expected.amplitudes.view(np.int64))
+
+
 _ANGLES = st.sampled_from([0.0, -0.0, 1e-300, -0.4, math.pi, -math.pi, 2.5, -7.0, 13.0])
 
 
@@ -230,7 +253,9 @@ def _circuits(draw):
 def _busy_circuits(draw):
     """Any of the five gates on 2..7 qubits, with a qubit below the top one
     given more one-qubit gates than any other, so that the layout is not the
-    identity."""
+    identity. A SWAP relabels, so a one-qubit gate after it counts for the
+    qubit it relabelled: the extra gates go before the first SWAP, and
+    there are more of them than all the drawn one-qubit gates."""
     n = draw(st.integers(min_value=2, max_value=7))
     qubit = st.integers(min_value=0, max_value=n - 1)
     pair = st.lists(qubit, min_size=2, max_size=2, unique=True)
@@ -240,10 +265,11 @@ def _busy_circuits(draw):
     gates = draw(st.lists(gate, max_size=16))
     busy = draw(st.integers(min_value=0, max_value=n - 2))
     one_qubit = st.sampled_from((h, x)) | st.just(lambda q: ry(q, 0.7))
-    most = max([sum(g.qubits == (q,) for g in gates) for q in range(n)])
-    for _ in range(most + 1 - sum(g.qubits == (busy,) for g in gates)):
-        position = draw(st.integers(min_value=0, max_value=len(gates)))
+    first_swap = next((i for i, g in enumerate(gates) if g.kind is GateKind.SWAP), len(gates))
+    for _ in range(sum(len(g.qubits) == 1 for g in gates) + 1):
+        position = draw(st.integers(min_value=0, max_value=first_swap))
         gates.insert(position, draw(one_qubit)(busy))
+        first_swap += 1
     return Circuit(n, tuple(gates))
 
 
@@ -270,19 +296,7 @@ class TestRyLayerMatchesLiteralProduct:
     @example(Circuit(1, (ry(0, -0.0),)))
     @example(Circuit(3, (ry(1, math.pi), ry(2, -0.0), ry(0, 13.0), ry(2, -7.0))))
     def test_bits(self, circuit):
-        n = circuit.num_qubits
-        run: list[int] = []
-        for gate in circuit.gates:
-            if gate.qubits[0] in run:
-                break
-            run.append(gate.qubits[0])
-        expected = new_zero_state(n)
-        if run:
-            literal_write_ry_prefix(expected.amplitudes, n, circuit.gates[:len(run)])
-        for gate in circuit.gates[len(run):]:
-            literal_apply_gate(expected, gate)
-        state = apply_circuit(new_zero_state(n), circuit)
-        assert np.array_equal(state.amplitudes.view(np.int64), expected.amplitudes.view(np.int64))
+        _assert_bits_match_literal_from_zero(circuit)
 
 
 class TestKernelsMatchLiteralGates:
@@ -310,17 +324,19 @@ class TestKernelsMatchLiteralGates:
 
     @pytest.mark.parametrize("n", range(1, 13))
     def test_exact_encoding_circuits(self, n):
-        # the encoder's tree runs in the bit-reversed layout from n = 2 on
+        # the count rule gives the encoder's whole tree the bit-reversed
+        # layout from n = 2 on (from _SWITCH_MIN_QUBITS on, each half of it
+        # gets a layout of its own)
         target = target_distribution(GaussianSpec(decay_rate=1.0), n)
         circuit = encode_exact(target.amplitudes, n)
-        assert _storage_bits(circuit.gates, 0, n) == list(range(n - 1, -1, -1))
+        assert _storage_bits(circuit.gates, 0, len(circuit.gates), n) == list(range(n - 1, -1, -1))
         _assert_bits_match_literal_gates(new_zero_state(n).amplitudes, circuit)
 
     @given(_busy_circuits(), st.integers(min_value=0, max_value=2**32 - 1))
     @example(Circuit(3, (h(0), x(0), swap(0, 2), cphase(1, 0, -0.0), ry(0, -0.0))), 0)
     def test_layouts_other_than_the_identity(self, circuit, seed):
         n = circuit.num_qubits
-        assert _storage_bits(circuit.gates, 0, n) != list(range(n))
+        assert _storage_bits(circuit.gates, 0, len(circuit.gates), n) != list(range(n))
         amplitudes = random_normalized_amplitudes(np.random.default_rng(seed), 1 << n)
         amplitudes[::3] *= -0.0  # signed zeros among the amplitudes
         _assert_bits_match_literal_gates(amplitudes, circuit)
@@ -330,6 +346,116 @@ class TestKernelsMatchLiteralGates:
         # replace it with a product state
         amplitudes = new_zero_state(3).amplitudes * -1.0
         _assert_matches_literal_gates(amplitudes, Circuit(3, (ry(0, 0.3), ry(2, 1.2))))
+
+
+@contextlib.contextmanager
+def _small_schedule(chunk_bits: int, switch_qubits: int = 2):
+    """The executor with chunks of 2**chunk_bits amplitudes and the layout
+    switch from `switch_qubits` qubits on, so that its chunked and switching
+    paths run on small states."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(statevector, "_CHUNK_BITS", chunk_bits)
+        patch.setattr(statevector, "_SWITCH_MIN_QUBITS", switch_qubits)
+        yield
+
+
+@contextlib.contextmanager
+def _counted_swaps():
+    """Count the executor's storage-bit swaps, each one pass over the state."""
+    calls = []
+    swap_kernel = statevector._Kernels.swap
+
+    def counted(kernels, p0, p1):
+        calls.append((p0, p1))
+        swap_kernel(kernels, p0, p1)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(statevector._Kernels, "swap", counted)
+        yield calls
+
+
+@st.composite
+def _swapping_circuits(draw):
+    """Perhaps an RY layer, then any of the five gates on 1..9 qubits, then
+    perhaps a tail of SWAPs, as a QFT ends."""
+    n = draw(st.integers(min_value=1, max_value=9))
+    qubit = st.integers(min_value=0, max_value=n - 1)
+    gates = []
+    if draw(st.booleans()):
+        gates += [ry(q, draw(_ANGLES)) for q in draw(st.permutations(range(n)))]
+    gate = st.builds(ry, qubit, _ANGLES) | st.builds(h, qubit) | st.builds(x, qubit)
+    if n > 1:
+        pair = st.lists(qubit, min_size=2, max_size=2, unique=True)
+        swaps = st.builds(lambda p: swap(*p), pair)
+        gate = gate | st.builds(lambda p, a: cphase(*p, a), pair, _ANGLES) | swaps
+        gates += draw(st.lists(gate, max_size=24))
+        gates += draw(st.lists(swaps, max_size=n))
+    else:
+        gates += draw(st.lists(gate, max_size=6))
+    return Circuit(n, tuple(gates))
+
+
+class TestScheduledExecutor:
+    """SWAP relabels, the layout switch and the chunked kernels, run on small
+    states with small chunks, against the per-gate reference, sign of zero
+    included."""
+
+    @given(_swapping_circuits(), st.integers(min_value=2, max_value=4), st.booleans(),
+           st.integers(min_value=0, max_value=2**32 - 1))
+    @example(Circuit(4, (h(3), cphase(3, 0, 0.3), cphase(3, 2, -0.0), swap(0, 3), x(0))), 2, False, 0)
+    def test_random_circuits(self, circuit, chunk_bits, from_zero, seed):
+        amplitudes = random_normalized_amplitudes(np.random.default_rng(seed), 1 << circuit.num_qubits)
+        amplitudes[::3] *= -0.0
+        with _small_schedule(chunk_bits):
+            if from_zero:
+                _assert_bits_match_literal_from_zero(circuit)
+            else:
+                _assert_bits_match_literal_gates(amplitudes, circuit)
+
+    @pytest.mark.parametrize("delta", [0.0, 0.0123, 0.1])
+    @pytest.mark.parametrize("n", range(1, 17))
+    def test_gaussian_circuits(self, n, delta):
+        # at most 2**7 chunks of a half, at least 4 amplitudes a chunk
+        circuit = gaussian_circuit(n, resolve_beta(n, 1.0, "heuristic"), delta)
+        with _small_schedule(max(2, n - 8)), _counted_swaps() as swaps:
+            _assert_bits_match_literal_from_zero(circuit)
+        assert len(swaps) <= n // 2
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_exact_encoding_circuits(self, n):
+        target = target_distribution(GaussianSpec(decay_rate=1.0), n)
+        circuit = encode_exact(target.amplitudes, n)
+        with _small_schedule(max(2, n - 4)):
+            _assert_bits_match_literal_from_zero(circuit)
+
+    @pytest.mark.parametrize("n", [2, 5, 13, 18, 19])
+    def test_qft_layouts(self, n):
+        # identity for the targets n - 1 .. n // 2, then the bit reversal,
+        # which the SWAP relabels turn back into the identity
+        gates = gaussian_circuit(n, resolve_beta(n, 1.0, "heuristic"), 0.0123).gates
+        with _small_schedule(statevector._CHUNK_BITS, min(n, statevector._SWITCH_MIN_QUBITS)):
+            (begin, middle), (middle_again, end) = _segments(gates, n, n)
+        assert (begin, middle_again, end) == (n, middle, len(gates))
+        targets = [g.qubits[0] for g in gates[begin:middle] if g.kind is GateKind.H]
+        assert targets == list(range(n - 1, n // 2 - 1, -1))
+        identity = list(range(n))
+        assert _storage_bits(gates, begin, middle, n, identity) == identity
+        assert _storage_bits(gates, middle, end, n) == identity[::-1]
+
+    def test_gaussian_circuit_swaps_at_most_half_the_qubits(self):
+        n = 18
+        circuit = gaussian_circuit(n, resolve_beta(n, 1.0, "heuristic"), 0.0123)
+        with _counted_swaps() as swaps:
+            simulate(circuit)
+        assert swaps == [(p, n - 1 - p) for p in range(n // 2)]
+
+    def test_swap_gates_move_no_amplitude(self):
+        amplitudes = random_normalized_amplitudes(np.random.default_rng(3), 1 << 5)
+        circuit = Circuit(5, (h(4), swap(0, 4), cphase(0, 2, 0.3), swap(1, 3), cphase(3, 4, 1.1),
+                              swap(4, 0), swap(3, 1), h(4)))
+        with _counted_swaps() as swaps:
+            _assert_bits_match_literal_gates(amplitudes, circuit)
+        assert swaps == []
 
 
 class TestPeakMemory:
@@ -357,6 +483,19 @@ class TestPeakMemory:
         finally:
             tracemalloc.stop()
         assert peak <= state.amplitudes.nbytes
+
+    def test_gaussian_circuit_at_n18_allocates_under_0_15_states(self):
+        # the scratch buffer is two chunks, an eighth of an 18-qubit state
+        n = 18
+        circuit = gaussian_circuit(n, resolve_beta(n, 1.0, "heuristic"), 0.0123)
+        state = new_zero_state(n)
+        tracemalloc.start()
+        try:
+            apply_circuit(state, circuit)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.15 * state.amplitudes.nbytes
 
     def test_exact_encoding_allocates_at_most_one_state(self):
         # the bit-reversed layout is entered and left in place, and every

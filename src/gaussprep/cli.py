@@ -6,7 +6,8 @@ sample (seeded shot sampling), export-qasm (OpenQASM 2.0 serialization).
 
 Exit codes: 0 success, 1 usage error (bad flags/values rejected by the
 parser), 2 runtime or numerical error (cap violations, failed searches,
-unwritable output, a refused memory allocation, ...).
+unwritable output, a prepare or sample run whose estimated peak exceeds
+the memory available, a refused memory allocation, ...).
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from .metrics import kl_divergence, laplace_smooth
 from .qasm import export_qasm
 from .reference import DEFAULT_DECAY_RATE, GaussianSpec, grid_points, target_distribution
 from .sampler import check_shots, sample_counts, tv_distance
-from .statevector import probabilities
+from .statevector import check_simulable, probabilities
 
 DEFAULT_SHOTS = 50_000
 DEFAULT_SEED = 1234
@@ -163,6 +164,37 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Peak memory of a command in states of 16 * 2**n bytes, as the tracemalloc
+# guards in the tests pin it; sample adds its draws and their indices.
+SAMPLE_PEAK_STATES = 2.1
+SAMPLE_BYTES_PER_SHOT = 16
+PREPARE_PEAK_STATES = 4.2
+
+
+def _available_bytes(path: str = "/proc/meminfo") -> int | None:
+    """MemAvailable from the meminfo file in bytes, or None where it cannot be read."""
+    try:
+        with open(path, encoding="ascii") as meminfo:
+            for line in meminfo:
+                if line.startswith("MemAvailable:"):
+                    return int(line.split()[1]) * 1024
+    except (OSError, ValueError, IndexError):
+        pass
+    return None
+
+
+def _check_memory(run: str, n: int, states: float, extra_bytes: int = 0) -> None:
+    """Refuse a run whose estimated peak exceeds the memory available, before
+    its state is built. The qubit cap is checked first, so a count outside it
+    is refused by name."""
+    check_simulable(n)
+    needed = math.ceil(states * (16 << n)) + extra_bytes
+    available = _available_bytes()
+    if available is not None and needed > available:
+        raise MemoryError(f"{run} needs about {needed} bytes at its peak, "
+                          f"but only {available} bytes are available")
+
+
 class _StdoutClosed(Exception):
     """The reader of stdout went away before the output was written."""
 
@@ -191,6 +223,7 @@ def _emit(path: str | None, text: str) -> None:
 
 
 def _cmd_prepare(args: argparse.Namespace) -> int:
+    _check_memory(f"prepare -n {args.qubits}", args.qubits, PREPARE_PEAK_STATES)
     result = run_prepare(args.qubits, args.decay_rate, args.delta, args.beta)
     if args.out:
         if args.format == "csv":
@@ -226,8 +259,11 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
 
 def _cmd_sample(args: argparse.Namespace) -> int:
     check_shots(args.shots)  # before the state is allocated
-    state = prepared_state(args.qubits, args.decay_rate, args.delta, args.beta).state
-    probs = probabilities(state)
+    _check_memory(f"sample -n {args.qubits} with {args.shots} shots", args.qubits,
+                  SAMPLE_PEAK_STATES, SAMPLE_BYTES_PER_SHOT * args.shots)
+    # no name holds the state, so it is freed before the shots are drawn
+    probs = probabilities(
+        prepared_state(args.qubits, args.decay_rate, args.delta, args.beta).state)
     histogram = sample_counts(probs, args.shots, args.seed)
     if args.out:
         grid = grid_points(args.qubits)

@@ -125,12 +125,20 @@ def kl_divergence_from(p: np.ndarray) -> Callable[[np.ndarray], float]:
         _check_same_length(p, q)
         if np.any(q < 0.0):
             raise ValueError("probabilities must be non-negative")
-        if np.any(q[support] == 0.0):
+        q_support = q[support]  # a copy when the support is partial, else a view of q
+        if np.any(q_support == 0.0):
             return math.inf
+        # one array holds the ratio, its log and the terms; q is never written
         with np.errstate(over="ignore"):  # p_x / q_x overflows where q_x is subnormal
-            log_ratio = np.log(p_support / q[support])
-        divergence = float(np.sum(p_support * log_ratio))
+            if isinstance(support, slice):
+                terms = p_support / q_support
+            else:
+                terms = np.divide(p_support, q_support, out=q_support)
+            np.log(terms, out=terms)
+        divergence = float(np.sum(np.multiply(p_support, terms, out=terms)))
         if math.isinf(divergence):  # only overflowed terms become ln p_x - ln q_x
+            with np.errstate(over="ignore"):
+                log_ratio = np.log(p_support / q[support])
             overflowed = np.isinf(log_ratio)
             log_ratio[overflowed] = np.log(p_support[overflowed]) - np.log(q[support][overflowed])
             divergence = float(np.sum(p_support * log_ratio))

@@ -78,15 +78,18 @@ def sample_counts(probs: np.ndarray, shots: int, seed: int) -> ShotHistogram:
     # bincount below ignores their order, so the counts do not change.
     draws.sort()
     indices = np.searchsorted(cdf, draws, side="right")
+    del draws, cdf  # freed before bincount allocates the counts
     np.minimum(indices, probs.size - 1, out=indices)
     counts = np.bincount(indices, minlength=probs.size).astype(np.int64, copy=False)
     return ShotHistogram(num_qubits=num_qubits, shots=shots, seed=seed, counts=counts)
 
 
 def tv_distance(p: np.ndarray, q: np.ndarray) -> float:
-    """Total variation distance 0.5 * sum |p_k - q_k|."""
+    """Total variation distance 0.5 * sum |p_k - q_k|, from one temporary:
+    the difference, made absolute in place."""
     p = np.asarray(p, dtype=np.float64)
     q = np.asarray(q, dtype=np.float64)
     if p.shape != q.shape:
         raise ValueError(f"shape mismatch: {p.shape} vs {q.shape}")
-    return 0.5 * float(np.sum(np.abs(p - q)))
+    diff = np.subtract(p, q)
+    return 0.5 * float(np.sum(np.abs(diff, out=diff)))

@@ -470,5 +470,7 @@ def inner_product(a: StateVector, b: StateVector) -> complex:
 
 
 def probabilities(state: StateVector) -> np.ndarray:
-    """|amplitude_k|^2 for every basis index k."""
-    return np.abs(state.amplitudes) ** 2
+    """|amplitude_k|^2 for every basis index k, squared in place into the
+    one array np.abs allocates (numpy computes `** 2` as `square`)."""
+    probs = np.abs(state.amplitudes)
+    return np.square(probs, out=probs)

@@ -13,12 +13,14 @@ import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import gaussprep
+from gaussprep import cli
 from gaussprep.cli import main
 from gaussprep.harness import (
     CALIBRATION_COLUMNS,
@@ -309,6 +311,33 @@ class TestSample:
         assert capsys.readouterr().err == "gaussprep: error: shots must be >= 1, got 0\n"
         assert peak < 2**20
 
+    def test_peak_memory_at_18_qubits(self, capsys):
+        # the state is freed before the shots are drawn: the probabilities,
+        # the CDF, the draws and their indices (2.0 states at 2**18 shots;
+        # 3.58 while the state lived through sampling)
+        argv = ["sample", "-n", "18", "--shots", "262144", "--seed", "5"]
+        assert main(argv) == 0
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.1 * (16 << 18)
+
+    def test_too_many_shots_are_refused_before_the_state_exists(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "_available_bytes", lambda: 8 << 30)
+        tracemalloc.start()
+        try:
+            assert main(["sample", "-n", "4", "--shots", "9223372036854775807"]) == 2
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert capsys.readouterr().err == (
+            "gaussprep: error: sample -n 4 with 9223372036854775807 shots needs about "
+            "147573952589676413450 bytes at its peak, but only 8589934592 bytes are available\n")
+        assert peak < 2**20
+
     def test_negative_seed_is_a_runtime_error_naming_the_seed(self, capsys):
         assert main(["sample", "-n", "3", "--seed", "-1"]) == 2
         captured = capsys.readouterr()
@@ -318,6 +347,49 @@ class TestSample:
     def test_huge_threshold_samples(self, capsys):
         assert main(["sample", "-n", "3", "--delta", "1e200", "--shots", "100"]) == 0
         assert json.loads(capsys.readouterr().out)["shots"] == 100
+
+
+class TestMemoryPreflight:
+    # estimated peaks: prepare 4.2 states, sample 2.1 states plus 16 B per
+    # shot, in bytes rounded up; a state is 16 * 2**n bytes
+    @pytest.mark.parametrize("argv, needed", [
+        (["prepare", "-n", "10"], 68813),
+        (["sample", "-n", "4", "--shots", "100"], 538 + 1600),
+    ])
+    def test_refused_one_byte_short_of_the_estimate(self, argv, needed, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "_available_bytes", lambda: needed)
+        assert main(argv) == 0
+        capsys.readouterr()
+        monkeypatch.setattr(cli, "_available_bytes", lambda: needed - 1)
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"gaussprep: error: {argv[0]} -n {argv[2]} ")
+        assert captured.err.endswith(f" needs about {needed} bytes at its peak, "
+                                     f"but only {needed - 1} bytes are available\n")
+
+    def test_unreadable_meminfo_skips_the_check(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "_available_bytes", lambda: None)
+        assert main(["sample", "-n", "4", "--shots", "100"]) == 0
+        # numpy's own refusal is still an exit 2
+        assert main(["sample", "-n", "2", "--shots", str(10**15)]) == 2
+        assert capsys.readouterr().err.startswith("gaussprep: error: ")
+
+    def test_qubit_cap_is_named_before_the_memory(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "_available_bytes", lambda: 0)
+        assert main(["prepare", "-n", "27"]) == 2
+        assert capsys.readouterr().err == (
+            "gaussprep: error: qubit count 27 outside simulable range 1..26\n")
+
+    def test_reads_mem_available_in_bytes(self, tmp_path):
+        meminfo = tmp_path / "meminfo"
+        meminfo.write_text("MemTotal:       16000000 kB\nMemAvailable:    7444992 kB\n")
+        assert cli._available_bytes(str(meminfo)) == 7444992 * 1024
+        meminfo.write_text("MemTotal:       16000000 kB\n")
+        assert cli._available_bytes(str(meminfo)) is None
+        meminfo.write_text("MemAvailable: lots\n")
+        assert cli._available_bytes(str(meminfo)) is None
+        assert cli._available_bytes(str(tmp_path / "missing")) is None
 
 
 class TestExportQasm:
@@ -442,9 +514,11 @@ FLOAT_TEXTS = ("nan", "inf", "-inf", "0", "-0", "1e-320", "1e200", "-1",
                "1e-9", "0.0123", "0.5", "1", "2.5")
 QUBITS = st.integers(min_value=-1, max_value=8)
 FLOATS = st.sampled_from(FLOAT_TEXTS)
-# Small shot counts, plus one that numpy refuses to allocate; nothing in
-# between, so no draw allocates gigabytes.
-SHOTS = st.one_of(st.integers(min_value=-1, max_value=3000), st.just(10**15))
+# Small shot counts, plus counts that the memory preflight refuses on the
+# 1 GiB that TestArgvProperty reports available; nothing in between, so no
+# draw allocates gigabytes.
+SHOTS = st.one_of(st.integers(min_value=-1, max_value=3000),
+                  st.integers(min_value=10**15, max_value=2**64))
 
 
 @st.composite
@@ -485,7 +559,8 @@ class TestArgvProperty:
     @example(["sample", "-n", "2", "--shots", str(10**15)])
     def test_every_run_exits_0_1_or_2(self, argv):
         out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+                mock.patch.object(cli, "_available_bytes", return_value=1 << 30):
             code = main(argv)
         assert code in (0, 1, 2), (argv, code, err.getvalue())
         if code == 2:

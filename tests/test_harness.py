@@ -93,7 +93,8 @@ class TestRunPrepare:
 
     def test_peak_memory_at_18_qubits(self):
         # the state, the target with its grid, the probabilities and the
-        # KL temporaries: at most 4.6 states (5.07 with per-metric scoring)
+        # KL's one temporary: at most 4.2 states (4.57 with three KL
+        # temporaries, 5.07 with per-metric scoring)
         n = 18
         run_prepare(n)
         tracemalloc.start()
@@ -102,7 +103,7 @@ class TestRunPrepare:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 4.6 * (16 << n)
+        assert peak <= 4.2 * (16 << n)
 
     def test_invalid_arguments_rejected(self):
         with pytest.raises(ValueError, match=r"^qubit count 0 outside simulable range 1\.\.26$"):

@@ -109,6 +109,22 @@ class TestTvDistance:
         with pytest.raises(ValueError):
             tv_distance(np.array([1.0]), np.array([0.5, 0.5]))
 
+    def test_same_bits_as_the_two_temporary_expression(self):
+        rng = np.random.default_rng(2)
+        p, q = rng.random(1 << 12), rng.random(1 << 12)
+        assert tv_distance(p, q).hex() == (0.5 * float(np.sum(np.abs(p - q)))).hex()
+
+    def test_allocates_one_temporary(self):
+        rng = np.random.default_rng(2)
+        p, q = rng.random(1 << 16), rng.random(1 << 16)
+        tracemalloc.start()
+        try:
+            tv_distance(p, q)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.05 * p.nbytes
+
 
 class TestConvergence:
     def test_prepared_distribution_at_fifty_thousand_shots(self, prepared_five_qubits):

@@ -512,6 +512,17 @@ class TestPeakMemory:
             tracemalloc.stop()
         assert peak <= state.amplitudes.nbytes
 
+    def test_probabilities_allocate_half_a_state(self):
+        # np.abs's float array, squared in place
+        state = new_zero_state(14)
+        tracemalloc.start()
+        try:
+            probabilities(state)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.51 * state.amplitudes.nbytes
+
 
 class TestInnerProductAndProbabilities:
     def test_self_inner_product_is_one(self):
@@ -534,6 +545,12 @@ class TestInnerProductAndProbabilities:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             inner_product(new_zero_state(1), new_zero_state(2))
+
+    def test_probabilities_have_the_bits_of_abs_squared(self):
+        rng = np.random.default_rng(11)
+        state = StateVector(10, random_normalized_amplitudes(rng, 1 << 10))
+        expected = np.abs(state.amplitudes) ** 2
+        assert np.array_equal(probabilities(state).view(np.int64), expected.view(np.int64))
 
     def test_probabilities_of_zero_state(self):
         probs = probabilities(new_zero_state(2))

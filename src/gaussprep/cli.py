@@ -42,7 +42,7 @@ from .harness import (
 )
 from .metrics import kl_divergence, laplace_smooth
 from .qasm import export_qasm
-from .reference import DEFAULT_DECAY_RATE, GaussianSpec, grid_points, target_distribution
+from .reference import DEFAULT_DECAY_RATE, GaussianSpec, target_distribution
 from .sampler import check_shots, sample_counts, tv_distance
 from .statevector import check_simulable, probabilities
 
@@ -168,7 +168,8 @@ def build_parser() -> argparse.ArgumentParser:
 # guards in the tests pin it; sample adds its draws and their indices.
 SAMPLE_PEAK_STATES = 2.1
 SAMPLE_BYTES_PER_SHOT = 16
-PREPARE_PEAK_STATES = 4.2
+SMOOTHING_EXTRA_STATES = 1.0  # sample --smoothing: the target and the KL's arrays
+PREPARE_PEAK_STATES = 3.6
 
 
 def _available_bytes(path: str = "/proc/meminfo") -> int | None:
@@ -259,15 +260,15 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
 
 def _cmd_sample(args: argparse.Namespace) -> int:
     check_shots(args.shots)  # before the state is allocated
+    states = SAMPLE_PEAK_STATES + (SMOOTHING_EXTRA_STATES if args.smoothing is not None else 0.0)
     _check_memory(f"sample -n {args.qubits} with {args.shots} shots", args.qubits,
-                  SAMPLE_PEAK_STATES, SAMPLE_BYTES_PER_SHOT * args.shots)
+                  states, SAMPLE_BYTES_PER_SHOT * args.shots)
     # no name holds the state, so it is freed before the shots are drawn
     probs = probabilities(
         prepared_state(args.qubits, args.decay_rate, args.delta, args.beta).state)
     histogram = sample_counts(probs, args.shots, args.seed)
     if args.out:
-        grid = grid_points(args.qubits)
-        _emit(args.out, table_text(*histogram_table(grid, probs, histogram), "csv"))
+        _emit(args.out, table_text(*histogram_table(probs, histogram), "csv"))
     summary: dict[str, object] = {
         "n": args.qubits,
         "shots": histogram.shots,

@@ -59,6 +59,7 @@ from .reference import (
     TargetDistribution,
     closed_form_probabilities,
     cosine_table,
+    grid_points,
     target_distribution,
 )
 from .sampler import ShotHistogram
@@ -87,7 +88,6 @@ class PrepareResult:
     """Everything a single preparation run produces."""
 
     report: MetricsReport
-    grid: np.ndarray
     target_probabilities: np.ndarray
     prepared_probabilities: np.ndarray
 
@@ -266,8 +266,7 @@ def run_prepare(
         fidelity=score.fidelity, fidelity_phase_sensitive=score.fidelity_phase_sensitive,
         fidelity_bound=pruning_fidelity_bound(n, delta), inventory=inventory,
     )
-    return PrepareResult(report=report, grid=target.points,
-                         target_probabilities=target.probabilities,
+    return PrepareResult(report=report, target_probabilities=target.probabilities,
                          prepared_probabilities=score.probabilities)
 
 
@@ -442,15 +441,16 @@ def calibrate_beta(decay_rate: float, n: int, delta: float = 0.0) -> Calibration
 
 def distribution_table(result: PrepareResult) -> Table:
     """Per-basis-state dump: grid point, target and prepared probability."""
-    values = (result.grid, result.target_probabilities, result.prepared_probabilities)
-    return DISTRIBUTION_COLUMNS, list(zip(range(result.grid.size), *values))
+    n = result.report.n
+    values = (grid_points(n), result.target_probabilities, result.prepared_probabilities)
+    return DISTRIBUTION_COLUMNS, list(zip(range(1 << n), *values))
 
 
-def histogram_table(grid: np.ndarray, probabilities: np.ndarray,
-                    histogram: ShotHistogram) -> Table:
+def histogram_table(probabilities: np.ndarray, histogram: ShotHistogram) -> Table:
     """Per-basis-state sampling dump alongside the exact prepared probabilities."""
-    values = (grid, probabilities, histogram.counts, histogram.frequencies)
-    return HISTOGRAM_COLUMNS, list(zip(range(grid.size), *values))
+    n = histogram.num_qubits
+    values = (grid_points(n), probabilities, histogram.counts, histogram.frequencies)
+    return HISTOGRAM_COLUMNS, list(zip(range(1 << n), *values))
 
 
 def calibration_table(result: CalibrationResult) -> Table:

@@ -76,9 +76,10 @@ class StateScore(NamedTuple):
 def score_state(target: TargetDistribution, state: StateVector) -> StateScore:
     """Score a state in one pass: |a| is taken once and squared in place into
     the probabilities, and the one overlap <t|a> is taken on the real target.
+    The target amplitudes are read once and dropped before the KL step.
     Each field is the expression of the function named in StateScore,
     evaluated in the same order, so it has the same bits."""
-    target_amplitudes = np.asarray(target.amplitudes, dtype=np.float64)
+    target_amplitudes = target.amplitudes
     amps = state.amplitudes
     _check_same_length(target_amplitudes, amps)
     magnitudes = np.abs(amps)
@@ -87,9 +88,10 @@ def score_state(target: TargetDistribution, state: StateVector) -> StateScore:
     probs = np.square(magnitudes, out=magnitudes)
     overlap = complex(np.vdot(target_amplitudes, amps))
     total = float(np.sum(target_amplitudes**2) + np.sum(probs) - 2.0 * abs(overlap))
+    del target_amplitudes
     return StateScore(
         probabilities=probs, mse=amplitude_mse,
-        mse_phase_optimized=max(total, 0.0) / target_amplitudes.shape[0],
+        mse_phase_optimized=max(total, 0.0) / probs.shape[0],
         kl_divergence=kl_divergence(probs, target.probabilities), fidelity=magnitude,
         fidelity_phase_sensitive=abs(overlap) ** 2,
     )

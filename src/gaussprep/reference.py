@@ -40,12 +40,15 @@ class GaussianSpec:
 
 @dataclass(frozen=True)
 class TargetDistribution:
-    """Ideal discrete Gaussian on its grid: the points x_k, the probabilities
-    G(x_k) and the amplitudes sqrt(G(x_k))."""
+    """Ideal discrete Gaussian over the 2**n basis states: the probabilities
+    G(x_k), one per point of grid_points(n)."""
 
-    points: np.ndarray
     probabilities: np.ndarray
-    amplitudes: np.ndarray
+
+    @property
+    def amplitudes(self) -> np.ndarray:
+        """sqrt(G(x_k)), made afresh from the probabilities on each read."""
+        return np.sqrt(self.probabilities)
 
 
 def grid_points(n: int) -> np.ndarray:
@@ -56,20 +59,22 @@ def grid_points(n: int) -> np.ndarray:
 
 
 def target_distribution(spec: GaussianSpec, n: int) -> TargetDistribution:
-    """G(x_k) = e^(-decay_rate*x_k^2) normalized over the grid, which the
-    result carries as `points`.
+    """G(x_k) = e^(-decay_rate*x_k^2) normalized over grid_points(n), built
+    in place in the grid's buffer.
 
     Normalization subtracts the maximum exponent first so very large decay
     rates cannot underflow every weight at once.
     """
-    points = grid_points(n)
+    probs = grid_points(n)
+    np.square(probs, out=probs)
     # A huge rate overflows the exponent to -inf, whose weight e^-inf = 0 is
     # the correct limit, so the overflow is not worth a warning.
     with np.errstate(over="ignore"):
-        exponents = -spec.decay_rate * points**2
-    weights = np.exp(exponents - exponents.max())
-    probs = weights / weights.sum()
-    return TargetDistribution(points=points, probabilities=probs, amplitudes=np.sqrt(probs))
+        np.multiply(-spec.decay_rate, probs, out=probs)
+    probs -= probs.max()
+    np.exp(probs, out=probs)
+    probs /= probs.sum()
+    return TargetDistribution(probabilities=probs)
 
 
 def product_amplitudes_oracle(n: int, beta: float) -> np.ndarray:

@@ -70,13 +70,6 @@ _UFUNC_BUFFER_ELEMENTS = 128
 # amplitudes leaves every controlled-phase block two or more.
 _CHUNK_BITS = 14
 
-# From this many qubits on, the gates after the RY prefix run in two layouts,
-# one per half; below it, in one. Two layouts cost a second count of the
-# gates and the storage-bit swaps between them, and were faster from n = 9
-# on for the Gaussian circuit (1.60 -> 1.21 ms at n = 12) and for
-# `encode_exact` (93 -> 86 ms at n = 10), but not at n = 6..8.
-_SWITCH_MIN_QUBITS = 9
-
 
 def _cuts(shape: tuple[int, ...], size: int) -> tuple[list[tuple[slice, ...]], tuple[int, ...]]:
     """Index tuples that cut an array of this shape, whose axes are powers of
@@ -374,17 +367,16 @@ def _write_ry_prefix(amps: np.ndarray, n: int, gates: tuple[GateOp, ...]) -> int
     return len(gates)
 
 
-def _segments(gates: tuple[GateOp, ...], start: int, n: int) -> list[tuple[int, int]]:
+def _segments(gates: tuple[GateOp, ...], start: int) -> list[tuple[int, int]]:
     """The runs of gates from `start` on that get a layout each: two, split
-    at the median one-qubit gate, from _SWITCH_MIN_QUBITS qubits on and
-    where there are two one-qubit gates; otherwise one."""
+    at the median one-qubit gate, where there are two one-qubit gates;
+    otherwise one."""
     end = len(gates)
-    if n >= _SWITCH_MIN_QUBITS:
-        count = sum(len(gate.qubits) == 1 for gate in itertools.islice(gates, start, None))
-        if count >= 2:
-            one_qubit = (i for i in range(start, end) if len(gates[i].qubits) == 1)
-            middle = next(itertools.islice(one_qubit, count // 2, None))
-            return [(start, middle), (middle, end)]
+    count = sum(len(gate.qubits) == 1 for gate in itertools.islice(gates, start, None))
+    if count >= 2:
+        one_qubit = (i for i in range(start, end) if len(gates[i].qubits) == 1)
+        middle = next(itertools.islice(one_qubit, count // 2, None))
+        return [(start, middle), (middle, end)]
     return [(start, end)]
 
 
@@ -453,7 +445,7 @@ def apply_circuit(state: StateVector, circuit: Circuit) -> StateVector:
         if gates and gates[0].kind is GateKind.RY and amps[0] == 1 and not amps[1:].any():
             start = _write_ry_prefix(amps, n, gates)
         kernels = _Kernels(amps, n)
-        segments = _segments(gates, start, n)
+        segments = _segments(gates, start)
         for i, (begin, end) in enumerate(segments):
             entry = kernels.bits if i + 1 < len(segments) else None
             kernels.relayout(_storage_bits(gates, begin, end, n, entry))

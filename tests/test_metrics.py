@@ -81,11 +81,9 @@ class TestMetricsReport:
         assert make_report(kl_divergence=math.inf).kl_divergence == math.inf
 
 
-def target_of(amplitudes) -> TargetDistribution:
-    """A target with the given real amplitudes, on the grid 0, 1, 2, ..."""
-    amplitudes = np.asarray(amplitudes, dtype=np.float64)
-    return TargetDistribution(points=np.arange(amplitudes.size, dtype=np.float64),
-                              probabilities=amplitudes**2, amplitudes=amplitudes)
+def target_of(probabilities) -> TargetDistribution:
+    """A target with the given probabilities."""
+    return TargetDistribution(probabilities=np.asarray(probabilities, dtype=np.float64))
 
 
 def state_of(amplitudes) -> StateVector:
@@ -109,14 +107,14 @@ def literal_mse_phase_optimized(target_amplitudes, state):
 
 class TestMse:
     def test_exact_match_is_zero(self):
-        assert score_state(target_of([0.6, 0.8]), state_of([0.6, 0.8])).mse == 0.0
+        assert score_state(target_of([0.36, 0.64]), state_of([0.6, 0.8])).mse == 0.0
 
     def test_orthogonal_point_masses(self):
         # target (1,0) against |1>: both entries differ by 1, mean is 1
         assert score_state(target_of([1.0, 0.0]), state_of([0.0, 1.0])).mse == pytest.approx(1.0)
 
     def test_compares_magnitudes_not_phases(self):
-        score = score_state(target_of([0.6, 0.8]), state_of([0.6, -0.8]))
+        score = score_state(target_of([0.36, 0.64]), state_of([0.6, -0.8]))
         assert score.mse == pytest.approx(0.0, abs=1e-15)
 
     def test_length_mismatch_rejected(self):
@@ -127,11 +125,11 @@ class TestMse:
 class TestMsePhaseOptimized:
     def test_global_phase_removed(self):
         target = np.array([0.6, 0.8])
-        score = score_state(target_of(target), state_of(np.exp(0.7j) * target))
+        score = score_state(target_of(target**2), state_of(np.exp(0.7j) * target))
         assert score.mse_phase_optimized == pytest.approx(0.0, abs=1e-15)
 
     def test_relative_phase_still_counts(self):
-        score = score_state(target_of([0.6, 0.8]), state_of([0.6, -0.8]))
+        score = score_state(target_of([0.36, 0.64]), state_of([0.6, -0.8]))
         assert score.mse_phase_optimized > 0.1
 
     def test_never_exceeds_plain_complex_mse(self):
@@ -141,7 +139,7 @@ class TestMsePhaseOptimized:
         amps = rng.normal(size=8) + 1j * rng.normal(size=8)
         state = state_of(amps / np.linalg.norm(amps))
         plain = float(np.mean(np.abs(target - state.amplitudes) ** 2))
-        assert score_state(target_of(target), state).mse_phase_optimized <= plain + 1e-15
+        assert score_state(target_of(target**2), state).mse_phase_optimized <= plain + 1e-15
 
 
 def same_bits(a: float, b: float) -> bool:
@@ -188,7 +186,8 @@ class TestScoreState:
         rng = np.random.default_rng(seed)
         target_amplitudes = rng.random(16)
         target_amplitudes /= np.linalg.norm(target_amplitudes)
-        target = target_of(target_amplitudes)
+        target = target_of(target_amplitudes**2)
+        target_amplitudes = target.amplitudes
         amps = rng.normal(size=16) + 1j * rng.normal(size=16)
         state = state_of(amps / np.linalg.norm(amps))
         score = score_state(target, state)
@@ -202,7 +201,7 @@ class TestScoreState:
 
     def test_kl_runs_from_prepared_to_target(self):
         # the prepared state has no mass on index 1; the target has: finite
-        score = score_state(target_of([0.6, 0.8]), state_of([1.0, 0.0]))
+        score = score_state(target_of([0.36, 0.64]), state_of([1.0, 0.0]))
         assert score.kl_divergence == pytest.approx(-math.log(0.36), rel=1e-12)
         assert score_state(target_of([1.0, 0.0]), state_of([0.6, 0.8])).kl_divergence == math.inf
 
@@ -468,7 +467,7 @@ class TestMetricCoherence:
         noisy /= np.linalg.norm(noisy)
         state = new_zero_state(n)
         state.amplitudes[:] = noisy
-        amplitude_mse = score_state(target_of(target), state).mse
+        amplitude_mse = score_state(target_of(target**2), state).mse
         assert amplitude_mse <= 1e-6
         assert magnitude_fidelity(target, state) >= 1.0 - 2 ** (n - 1) * amplitude_mse * 2
         assert magnitude_fidelity(target, state) >= 0.999

@@ -62,12 +62,30 @@ class TestGridPoints:
         assert points[0] == -2.0
         assert points[-1] == pytest.approx(2.0 - 0.015625)
 
-    def test_target_carries_its_grid(self):
-        spec = GaussianSpec(decay_rate=0.7)
-        np.testing.assert_array_equal(target_distribution(spec, 5).points, grid_points(5))
+
+def literal_target_probabilities(decay_rate: float, n: int) -> np.ndarray:
+    """The target evaluated out of place, one new array per step."""
+    points = grid_points(n)
+    with np.errstate(over="ignore"):
+        exponents = -decay_rate * points**2
+    weights = np.exp(exponents - exponents.max())
+    return weights / weights.sum()
 
 
 class TestTargetDistribution:
+    @pytest.mark.parametrize("decay_rate", [0.0, 0.6, 1.0, 2.0, 1e300])
+    @pytest.mark.parametrize("n", range(1, 17))
+    def test_in_place_build_has_the_literal_bits(self, n, decay_rate):
+        probs = target_distribution(GaussianSpec(decay_rate=decay_rate), n).probabilities
+        expected = literal_target_probabilities(decay_rate, n)
+        np.testing.assert_array_equal(probs.view(np.int64), expected.view(np.int64))
+
+    @pytest.mark.parametrize("n", [1, 6, 12])
+    def test_amplitudes_are_the_square_roots_bit_for_bit(self, n):
+        target = target_distribution(GaussianSpec(decay_rate=0.7), n)
+        np.testing.assert_array_equal(target.amplitudes.view(np.int64),
+                                      np.sqrt(target.probabilities).view(np.int64))
+
     def test_flat_limit_is_uniform(self):
         target = target_distribution(GaussianSpec(decay_rate=0.0), 2)
         np.testing.assert_allclose(target.probabilities, [0.25] * 4, atol=1e-15)

@@ -325,8 +325,8 @@ class TestKernelsMatchLiteralGates:
     @pytest.mark.parametrize("n", range(1, 13))
     def test_exact_encoding_circuits(self, n):
         # the count rule gives the encoder's whole tree the bit-reversed
-        # layout from n = 2 on (from _SWITCH_MIN_QUBITS on, each half of it
-        # gets a layout of its own)
+        # layout from n = 2 on (apply_circuit gives each half of it a layout
+        # of its own)
         target = target_distribution(GaussianSpec(decay_rate=1.0), n)
         circuit = encode_exact(target.amplitudes, n)
         assert _storage_bits(circuit.gates, 0, len(circuit.gates), n) == list(range(n - 1, -1, -1))
@@ -349,13 +349,11 @@ class TestKernelsMatchLiteralGates:
 
 
 @contextlib.contextmanager
-def _small_schedule(chunk_bits: int, switch_qubits: int = 2):
-    """The executor with chunks of 2**chunk_bits amplitudes and the layout
-    switch from `switch_qubits` qubits on, so that its chunked and switching
-    paths run on small states."""
+def _small_schedule(chunk_bits: int):
+    """The executor with chunks of 2**chunk_bits amplitudes, so that its
+    chunked paths run on small states."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(statevector, "_CHUNK_BITS", chunk_bits)
-        patch.setattr(statevector, "_SWITCH_MIN_QUBITS", switch_qubits)
         yield
 
 
@@ -433,8 +431,7 @@ class TestScheduledExecutor:
         # identity for the targets n - 1 .. n // 2, then the bit reversal,
         # which the SWAP relabels turn back into the identity
         gates = gaussian_circuit(n, resolve_beta(n, 1.0, "heuristic"), 0.0123).gates
-        with _small_schedule(statevector._CHUNK_BITS, min(n, statevector._SWITCH_MIN_QUBITS)):
-            (begin, middle), (middle_again, end) = _segments(gates, n, n)
+        (begin, middle), (middle_again, end) = _segments(gates, n)
         assert (begin, middle_again, end) == (n, middle, len(gates))
         targets = [g.qubits[0] for g in gates[begin:middle] if g.kind is GateKind.H]
         assert targets == list(range(n - 1, n // 2 - 1, -1))

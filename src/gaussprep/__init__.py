@@ -43,7 +43,7 @@ from .harness import (
     run_sweep,
 )
 from .metrics import (
-    MetricsReport,
+    StateScore,
     distribution_fidelity,
     fidelity,
     kl_divergence,
@@ -86,10 +86,10 @@ __all__ = [
     "GateKind",
     "GateOp",
     "GaussianSpec",
-    "MetricsReport",
     "PrepareResult",
     "PruningPolicy",
     "ShotHistogram",
+    "StateScore",
     "StateVector",
     "SweepConfig",
     "SweepRow",

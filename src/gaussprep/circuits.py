@@ -175,15 +175,13 @@ class PruningPolicy:
 
 @dataclass(frozen=True)
 class GateInventory:
-    """Per-kind gate tallies for one circuit, plus how many controlled-phase
-    gates pruning removed relative to the unpruned construction."""
+    """Per-kind gate tallies for one circuit."""
 
     ry: int = 0
     h: int = 0
     x: int = 0
     cphase: int = 0
     swap: int = 0
-    num_pruned_cphase: int = 0
 
     @property
     def total(self) -> int:
@@ -197,7 +195,6 @@ class GateInventory:
             "cphase": self.cphase,
             "swap": self.swap,
             "total": self.total,
-            "num_pruned_cphase": self.num_pruned_cphase,
         }
 
 
@@ -326,13 +323,9 @@ def pruned_cphase_count(n: int, policy: PruningPolicy) -> int:
     return full_cphase_count(n) - kept_cphase_count(n, policy)
 
 
-def count_gates(circuit: Circuit, num_pruned_cphase: int = 0) -> GateInventory:
-    """Tally a circuit per gate kind.
-
-    num_pruned_cphase is carried through for callers that built the circuit
-    with a pruning policy (see pruned_cphase_count); it is not derivable from
-    the circuit alone.
-    """
+def count_gates(circuit: Circuit) -> GateInventory:
+    """Tally a circuit per gate kind; how many controlled phases pruning
+    removed is pruned_cphase_count's, as the circuit alone does not show it."""
     tally = {kind: 0 for kind in GateKind}
     for gate in circuit.gates:
         tally[gate.kind] += 1
@@ -342,5 +335,4 @@ def count_gates(circuit: Circuit, num_pruned_cphase: int = 0) -> GateInventory:
         x=tally[GateKind.X],
         cphase=tally[GateKind.CPHASE],
         swap=tally[GateKind.SWAP],
-        num_pruned_cphase=num_pruned_cphase,
     )

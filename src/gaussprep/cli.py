@@ -168,7 +168,9 @@ def build_parser() -> argparse.ArgumentParser:
 # guards in the tests pin it; sample adds its draws and their indices.
 SAMPLE_PEAK_STATES = 2.1
 SAMPLE_BYTES_PER_SHOT = 16
-SMOOTHING_EXTRA_STATES = 1.0  # sample --smoothing: the target and the KL's arrays
+# sample --smoothing holds the probabilities, the counts, the smoothed
+# frequencies, the target and the KL's one array at its peak: 2.5 states
+SMOOTHING_EXTRA_STATES = 0.5
 PREPARE_PEAK_STATES = 3.6
 
 
@@ -230,10 +232,10 @@ def _cmd_prepare(args: argparse.Namespace) -> int:
         if args.format == "csv":
             _emit(args.out, table_text(*distribution_table(result), "csv"))
         else:
-            payload = {"report": report_as_dict(result.report),
+            payload = {"report": report_as_dict(result),
                        "distribution": table_records(*distribution_table(result))}
             _emit(args.out, json.dumps(payload, indent=2) + "\n")
-    _emit(None, json.dumps(report_as_dict(result.report), indent=2) + "\n")
+    _emit(None, json.dumps(report_as_dict(result), indent=2) + "\n")
     return 0
 
 

@@ -26,6 +26,7 @@ Conventions shared by all result tables:
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import math
@@ -37,6 +38,7 @@ import numpy as np
 
 from .circuits import (
     Circuit,
+    GateInventory,
     PruningPolicy,
     build_gaussian_prep,
     count_gates,
@@ -45,7 +47,7 @@ from .circuits import (
 )
 from .encoder import encode_exact
 from .metrics import (
-    MetricsReport,
+    StateScore,
     distribution_fidelity,
     fidelity,
     kl_divergence_from,
@@ -85,11 +87,31 @@ CALIBRATION_COLUMNS = ("kind", "beta", "kl", "fidelity")
 
 @dataclass(frozen=True)
 class PrepareResult:
-    """Everything a single preparation run produces."""
+    """One preparation run: its configuration, score_state's scores of the
+    prepared state, the pruned CPHASE count, the fidelity bound, the gate
+    tally and the target. The scores are range-checked here only, since a
+    sweep row can carry a rounding-negative KL."""
 
-    report: MetricsReport
+    n: int
+    decay_rate: float
+    beta: float
+    delta: float
+    report: StateScore
+    num_pruned_cphase: int
+    fidelity_bound: float
+    inventory: GateInventory
     target_probabilities: np.ndarray
-    prepared_probabilities: np.ndarray
+
+    def __post_init__(self) -> None:
+        score = self.report
+        if not (0.0 <= score.fidelity <= 1.0 + 1e-12):
+            raise ValueError(f"fidelity out of [0, 1]: {score.fidelity}")
+        if not (score.mse_amplitude >= 0.0 and score.kl_divergence >= 0.0):  # nan fails too
+            raise ValueError("mse and kl must be non-negative")
+
+    @property
+    def prepared_probabilities(self) -> np.ndarray:
+        return self.report.probabilities
 
 
 class BetaDiagnostic(NamedTuple):
@@ -258,23 +280,19 @@ def run_prepare(
     """Build, simulate, and score one Gaussian preparation circuit."""
     beta, circuit, state, _ = prepared_state(n, decay_rate, delta, beta_mode)
     target = target_distribution(GaussianSpec(decay_rate=decay_rate), n)
-    inventory = count_gates(circuit, num_pruned_cphase=pruned_cphase_count(n, PruningPolicy(delta)))
-    score = score_state(target, state)
-    report = MetricsReport(
-        n=n, decay_rate=decay_rate, beta=beta, delta=delta, mse_amplitude=score.mse,
-        mse_phase_optimized=score.mse_phase_optimized, kl_divergence=score.kl_divergence,
-        fidelity=score.fidelity, fidelity_phase_sensitive=score.fidelity_phase_sensitive,
-        fidelity_bound=pruning_fidelity_bound(n, delta), inventory=inventory,
+    return PrepareResult(
+        n=n, decay_rate=decay_rate, beta=beta, delta=delta, report=score_state(target, state),
+        num_pruned_cphase=pruned_cphase_count(n, PruningPolicy(delta)),
+        fidelity_bound=pruning_fidelity_bound(n, delta), inventory=count_gates(circuit),
+        target_probabilities=target.probabilities,
     )
-    return PrepareResult(report=report, target_probabilities=target.probabilities,
-                         prepared_probabilities=score.probabilities)
 
 
 def _measured(run: Run, target: TargetDistribution) -> dict[str, object]:
     """The sweep columns measured on a simulated state."""
     inventory = count_gates(run.circuit)
     score = score_state(target, run.state)
-    return dict(gate_total=inventory.total, cphase_count=inventory.cphase, mse=score.mse,
+    return dict(gate_total=inventory.total, cphase_count=inventory.cphase, mse=score.mse_amplitude,
                 kl=score.kl_divergence, wall_time_ms=run.wall_ms, fidelity_target=score.fidelity)
 
 
@@ -295,13 +313,12 @@ def _gaussian_row(n: int, delta: float, target: TargetDistribution, full: Run) -
 
 
 def _gaussian_rows(n: int, config: SweepConfig,
-                   target: TargetDistribution | Exception) -> list[SweepRow]:
+                   target_of_n: Callable[[], TargetDistribution]) -> list[SweepRow]:
     """One row per threshold; the full-QFT circuit is simulated once. A
     failed beta is reported before a failed target."""
     try:
         beta = resolve_beta(n, config.decay_rate, config.beta_mode)
-        if isinstance(target, Exception):
-            raise target
+        target = target_of_n()
         full = _run(beta, gaussian_circuit, n, beta, 0.0)
     except Exception as exc:
         return [_error_row(n, delta, "gaussian", exc) for delta in config.delta_values]
@@ -314,9 +331,7 @@ def _gaussian_rows(n: int, config: SweepConfig,
     return rows
 
 
-def _baseline_row(n: int, target: TargetDistribution | Exception) -> SweepRow:
-    if isinstance(target, Exception):
-        raise target
+def _baseline_row(n: int, target: TargetDistribution) -> SweepRow:
     measured = _measured(_run(None, encode_exact, target.amplitudes, n), target)
     return SweepRow(n=n, delta=None, beta=None, pruned_count=0,
                     fidelity=measured["fidelity_target"], fidelity_bound=None,
@@ -331,21 +346,19 @@ def _error_row(n: int, delta: float | None, method: str, exc: Exception) -> Swee
 def run_sweep(config: SweepConfig) -> list[SweepRow]:
     """Evaluate every (n, delta) cell plus optional per-n baseline rows.
 
-    Each n's target is built once, for its Gaussian rows and its baseline
-    row. A failing cell contributes a row with the error column set instead
-    of aborting the sweep. Rows are sorted by (n, method, delta) so output
-    order never depends on evaluation order.
+    Each n's target is built once, on first use, for its Gaussian rows and
+    its baseline row. A failing cell contributes a row with the error column
+    set instead of aborting the sweep. Rows are sorted by (n, method, delta)
+    so output order never depends on evaluation order.
     """
     rows: list[SweepRow] = []
     for n in config.n_values:
-        try:
-            target = target_distribution(GaussianSpec(decay_rate=config.decay_rate), n)
-        except Exception as exc:
-            target = exc  # each row of this n that needs the target reports it
-        rows += _gaussian_rows(n, config, target)
+        target_of_n = functools.cache(
+            lambda: target_distribution(GaussianSpec(decay_rate=config.decay_rate), n))
+        rows += _gaussian_rows(n, config, target_of_n)
         if config.include_baseline:
             try:
-                rows.append(_baseline_row(n, target))
+                rows.append(_baseline_row(n, target_of_n()))
             except Exception as exc:
                 rows.append(_error_row(n, None, "baseline", exc))
     rows.sort(key=lambda r: (r.n, 0 if r.method == "gaussian" else 1,
@@ -441,7 +454,7 @@ def calibrate_beta(decay_rate: float, n: int, delta: float = 0.0) -> Calibration
 
 def distribution_table(result: PrepareResult) -> Table:
     """Per-basis-state dump: grid point, target and prepared probability."""
-    n = result.report.n
+    n = result.n
     values = (grid_points(n), result.target_probabilities, result.prepared_probabilities)
     return DISTRIBUTION_COLUMNS, list(zip(range(1 << n), *values))
 
@@ -506,9 +519,14 @@ def _numbers(obj: object) -> dict[str, object]:
     return {name: json_safe(value) for name, value in values if isinstance(value, (int, float))}
 
 
-def report_as_dict(report: MetricsReport) -> dict[str, object]:
-    """Flat JSON-safe rendering of a metrics report."""
-    return {**_numbers(report), "gate_counts": report.inventory.as_dict()}
+def report_as_dict(result: PrepareResult) -> dict[str, object]:
+    """Flat JSON-safe rendering of a prepare run: its configuration, the five
+    scores, the fidelity bound, and the gate tally with the pruned count."""
+    values = [(name, getattr(result, name)) for name in ("n", "decay_rate", "beta", "delta")]
+    values += zip(StateScore._fields[1:], result.report[1:])  # every score but the probabilities
+    values.append(("fidelity_bound", result.fidelity_bound))
+    gate_counts = {**result.inventory.as_dict(), "num_pruned_cphase": result.num_pruned_cphase}
+    return {**{name: json_safe(value) for name, value in values}, "gate_counts": gate_counts}
 
 
 def calibration_summary(result: CalibrationResult) -> dict[str, object]:

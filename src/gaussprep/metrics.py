@@ -7,44 +7,13 @@ KL divergence uses natural log (nats) throughout.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .circuits import GateInventory, PruningPolicy
+from .circuits import PruningPolicy
 from .reference import TargetDistribution
 from .statevector import StateVector, inner_product
-
-
-@dataclass(frozen=True)
-class MetricsReport:
-    """All metrics for one prepared configuration, with the config echoed.
-
-    The five scores are score_state's. fidelity compares magnitudes (the
-    transform's per-index phases leave the measured distribution alone);
-    fidelity_phase_sensitive is the raw overlap, kept for diagnostics;
-    kl_divergence runs from the prepared distribution to the target, the
-    direction that stays finite (see the harness conventions).
-    """
-
-    n: int
-    decay_rate: float
-    beta: float
-    delta: float
-    mse_amplitude: float
-    mse_phase_optimized: float
-    kl_divergence: float
-    fidelity: float
-    fidelity_phase_sensitive: float
-    fidelity_bound: float
-    inventory: GateInventory
-
-    def __post_init__(self) -> None:
-        if not (0.0 <= self.fidelity <= 1.0 + 1e-12):
-            raise ValueError(f"fidelity out of [0, 1]: {self.fidelity}")
-        if self.mse_amplitude < 0.0 or (self.kl_divergence < 0.0 and not math.isinf(self.kl_divergence)):
-            raise ValueError("mse and kl must be non-negative")
 
 
 def _check_same_length(a: np.ndarray, b: np.ndarray) -> None:
@@ -56,7 +25,7 @@ class StateScore(NamedTuple):
     """Scores of a prepared state a against the real target amplitudes t:
 
     probabilities             |a_k|^2, as statevector.probabilities
-    mse                       (1/2^n) * sum_k (t_k - |a_k|)^2
+    mse_amplitude             (1/2^n) * sum_k (t_k - |a_k|)^2
     mse_phase_optimized       min over a global phase gamma of
                               (1/2^n) * sum_k |t_k - e^(i*gamma) a_k|^2
                               = (sum t^2 + sum |a|^2 - 2|<t|a>|) / 2^n
@@ -66,7 +35,7 @@ class StateScore(NamedTuple):
     """
 
     probabilities: np.ndarray
-    mse: float
+    mse_amplitude: float
     mse_phase_optimized: float
     kl_divergence: float
     fidelity: float
@@ -90,7 +59,7 @@ def score_state(target: TargetDistribution, state: StateVector) -> StateScore:
     total = float(np.sum(target_amplitudes**2) + np.sum(probs) - 2.0 * abs(overlap))
     del target_amplitudes
     return StateScore(
-        probabilities=probs, mse=amplitude_mse,
+        probabilities=probs, mse_amplitude=amplitude_mse,
         mse_phase_optimized=max(total, 0.0) / probs.shape[0],
         kl_divergence=kl_divergence(probs, target.probabilities), fidelity=magnitude,
         fidelity_phase_sensitive=abs(overlap) ** 2,
@@ -102,8 +71,10 @@ def kl_divergence(p: np.ndarray, q: np.ndarray) -> float:
 
     Convention: terms with p_x = 0 contribute 0; any x with p_x > 0 and
     q_x = 0 makes the divergence +inf (returned as the sentinel math.inf).
+    A p that is positive everywhere is read in place, so the sum takes one
+    array; otherwise its supported entries are copied.
     """
-    return kl_divergence_from(p)(q)
+    return _kl_to(p, copy=False)(q)
 
 
 def kl_divergence_from(p: np.ndarray) -> Callable[[np.ndarray], float]:
@@ -114,13 +85,20 @@ def kl_divergence_from(p: np.ndarray) -> Callable[[np.ndarray], float]:
     each call only checks q and evaluates the sum. Later changes to the
     array p do not reach the returned function.
     """
+    return _kl_to(p, copy=True)
+
+
+def _kl_to(p: np.ndarray, copy: bool) -> Callable[[np.ndarray], float]:
+    """q -> kl_divergence(p, q). Where p has full support its entries are
+    p itself, or a copy of it if `copy`; otherwise they are always a copy."""
     p = np.asarray(p, dtype=np.float64)
     if np.any(p < 0.0):
         raise ValueError("probabilities must be non-negative")
     support = p > 0.0
-    p_support = p[support]
-    if p_support.shape == p.shape:
-        support = slice(None)  # every entry counts: read q without a copy
+    if support.all():
+        support, p_support = slice(None), (p.copy() if copy else p)  # read q without a copy
+    else:
+        p_support = p[support]
 
     def kl_to(q: np.ndarray) -> float:
         q = np.asarray(q, dtype=np.float64)

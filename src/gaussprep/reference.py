@@ -55,7 +55,10 @@ def grid_points(n: int) -> np.ndarray:
     """x_k = -2 + k * 4 / 2**n for k = 0..2**n - 1: 2**n equally spaced
     points covering [-2, 2), 2 excluded."""
     check_simulable(n)
-    return -2.0 + 4.0 / 2.0**n * np.arange(2**n)
+    points = np.arange(2**n, dtype=np.float64)  # one array, scaled and shifted in place
+    points *= 4.0 / 2.0**n
+    points += -2.0
+    return points
 
 
 def target_distribution(spec: GaussianSpec, n: int) -> TargetDistribution:

@@ -31,6 +31,7 @@ from gaussprep import (
     pruned_cphase_count,
     resolve_beta,
     rotation_angle,
+    run_prepare,
     ry,
     swap,
     x,
@@ -408,14 +409,14 @@ class TestCountGates:
     def test_gaussian_prep_n12_pruned_inventory(self):
         policy = PruningPolicy(0.0123)
         circuit = build_gaussian_prep(12, GaussianSpec(decay_rate=1.0), policy)
-        inventory = count_gates(circuit, num_pruned_cphase=pruned_cphase_count(12, policy))
+        inventory = count_gates(circuit)
         assert inventory.ry == 12
         assert inventory.x == 1
         assert inventory.swap == 6
         # retained distances 1..7: sum(12 - d) = 56
         assert inventory.cphase == 56
         assert inventory.cphase == sum(12 - d for d in range(1, 8))
-        assert inventory.num_pruned_cphase == full_cphase_count(12) - 56
+        assert run_prepare(12, delta=0.0123).num_pruned_cphase == full_cphase_count(12) - 56
         assert inventory.total == 12 + 1 + 6 + 56 + 12  # + one H per qubit
 
     def test_total_is_sum_of_kinds(self):

@@ -15,6 +15,9 @@ import pytest
 import gaussprep.harness as harness
 from conftest import simulate
 from gaussprep import (
+    GateInventory,
+    PrepareResult,
+    StateScore,
     SweepConfig,
     calibrate_beta,
     pruning_fidelity_bound,
@@ -56,16 +59,52 @@ def mask_wall_time(csv_text: str) -> str:
     return "\n".join(lines)
 
 
+def make_result(**scores) -> PrepareResult:
+    """A prepare record around a perfect score, with the given scores replaced."""
+    report = StateScore(probabilities=np.array([0.5, 0.5]), mse_amplitude=0.0,
+                        mse_phase_optimized=0.0, kl_divergence=0.0, fidelity=1.0,
+                        fidelity_phase_sensitive=1.0)._replace(**scores)
+    return PrepareResult(n=1, decay_rate=1.0, beta=2.5, delta=0.0, report=report,
+                         num_pruned_cphase=0, fidelity_bound=1.0,
+                         inventory=GateInventory(ry=1, h=1, x=1),
+                         target_probabilities=np.array([0.5, 0.5]))
+
+
+class TestPrepareResult:
+    def test_rejects_fidelity_above_one(self):
+        with pytest.raises(ValueError):
+            make_result(fidelity=1.1)
+
+    def test_rejects_negative_mse(self):
+        with pytest.raises(ValueError):
+            make_result(mse_amplitude=-1e-3)
+
+    def test_rejects_negative_kl(self):
+        with pytest.raises(ValueError):
+            make_result(kl_divergence=-0.5)
+
+    def test_infinite_kl_allowed(self):
+        assert make_result(kl_divergence=math.inf).report.kl_divergence == math.inf
+
+    @pytest.mark.parametrize("scores", [dict(mse_amplitude=math.nan), dict(kl_divergence=math.nan),
+                                        dict(kl_divergence=-math.inf)],
+                             ids=["nan-mse", "nan-kl", "minus-inf-kl"])
+    def test_rejects_nan_and_negative_infinity(self, scores):
+        with pytest.raises(ValueError, match="non-negative"):
+            make_result(**scores)
+
+
 class TestRunPrepare:
     def test_report_echoes_configuration(self):
         result = run_prepare(6, decay_rate=2.0, delta=0.01, beta_mode=1.5)
-        assert result.report.n == 6
-        assert result.report.decay_rate == 2.0
-        assert result.report.delta == 0.01
-        assert result.report.beta == 1.5
+        assert result.n == 6
+        assert result.decay_rate == 2.0
+        assert result.delta == 0.01
+        assert result.beta == 1.5
         assert result.prepared_probabilities.shape == (64,)
+        assert result.prepared_probabilities is result.report.probabilities
         assert len(distribution_table(result)[1]) == 64
-        assert result.report.inventory.ry == 6
+        assert result.inventory.ry == 6
 
     def test_probabilities_are_normalized(self):
         result = run_prepare(8)

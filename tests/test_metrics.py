@@ -14,9 +14,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from gaussprep import (
-    GateInventory,
     GaussianSpec,
-    MetricsReport,
     StateVector,
     TargetDistribution,
     distribution_fidelity,
@@ -46,41 +44,6 @@ def plus_state() -> StateVector:
     return state
 
 
-def make_report(**overrides) -> MetricsReport:
-    fields = dict(
-        n=4,
-        decay_rate=1.0,
-        beta=2.5,
-        delta=0.0,
-        mse_amplitude=0.0,
-        mse_phase_optimized=0.0,
-        kl_divergence=0.0,
-        fidelity=1.0,
-        fidelity_phase_sensitive=1.0,
-        fidelity_bound=1.0,
-        inventory=GateInventory(ry=4, h=4, x=1, cphase=6, swap=2),
-    )
-    fields.update(overrides)
-    return MetricsReport(**fields)
-
-
-class TestMetricsReport:
-    def test_rejects_fidelity_above_one(self):
-        with pytest.raises(ValueError):
-            make_report(fidelity=1.1)
-
-    def test_rejects_negative_mse(self):
-        with pytest.raises(ValueError):
-            make_report(mse_amplitude=-1e-3)
-
-    def test_rejects_negative_kl(self):
-        with pytest.raises(ValueError):
-            make_report(kl_divergence=-0.5)
-
-    def test_infinite_kl_allowed(self):
-        assert make_report(kl_divergence=math.inf).kl_divergence == math.inf
-
-
 def target_of(probabilities) -> TargetDistribution:
     """A target with the given probabilities."""
     return TargetDistribution(probabilities=np.asarray(probabilities, dtype=np.float64))
@@ -107,15 +70,15 @@ def literal_mse_phase_optimized(target_amplitudes, state):
 
 class TestMse:
     def test_exact_match_is_zero(self):
-        assert score_state(target_of([0.36, 0.64]), state_of([0.6, 0.8])).mse == 0.0
+        assert score_state(target_of([0.36, 0.64]), state_of([0.6, 0.8])).mse_amplitude == 0.0
 
     def test_orthogonal_point_masses(self):
         # target (1,0) against |1>: both entries differ by 1, mean is 1
-        assert score_state(target_of([1.0, 0.0]), state_of([0.0, 1.0])).mse == pytest.approx(1.0)
+        assert score_state(target_of([1.0, 0.0]), state_of([0.0, 1.0])).mse_amplitude == pytest.approx(1.0)
 
     def test_compares_magnitudes_not_phases(self):
         score = score_state(target_of([0.36, 0.64]), state_of([0.6, -0.8]))
-        assert score.mse == pytest.approx(0.0, abs=1e-15)
+        assert score.mse_amplitude == pytest.approx(0.0, abs=1e-15)
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -175,7 +138,7 @@ class TestScoreState:
         assert same_bits(score.fidelity_phase_sensitive, fidelity(target_state, state))
         assert same_bits(score.kl_divergence,
                          kl_divergence(expected_probs, target.probabilities))
-        assert same_bits(score.mse, literal_mse(target.amplitudes, state))
+        assert same_bits(score.mse_amplitude, literal_mse(target.amplitudes, state))
         assert same_bits(score.mse_phase_optimized,
                          literal_mse_phase_optimized(target.amplitudes, state))
         # the scorer reads the state and leaves it as it was
@@ -195,7 +158,7 @@ class TestScoreState:
         assert same_bits(score.fidelity, magnitude_fidelity(target_amplitudes, state))
         assert same_bits(score.fidelity_phase_sensitive,
                          fidelity(state_of(target_amplitudes), state))
-        assert same_bits(score.mse, literal_mse(target_amplitudes, state))
+        assert same_bits(score.mse_amplitude, literal_mse(target_amplitudes, state))
         assert same_bits(score.mse_phase_optimized,
                          literal_mse_phase_optimized(target_amplitudes, state))
 
@@ -304,12 +267,13 @@ class TestKlDivergenceFrom:
             p[:] = 0.125
             assert kl_from_p(q) == expected
 
-    @pytest.mark.parametrize("zeros", [0, 1], ids=["positive", "one-zero"])
-    def test_peak_memory_is_two_arrays(self, zeros):
-        # run_prepare's peak falls in its KL call: the copied support of p and
-        # one array for the ratio, its log and the terms (the copied support
-        # of q when it is partial), plus the one-byte masks; three arrays
-        # before the ratio was taken in place
+    @pytest.mark.parametrize("zeros, arrays", [(0, 1), (1, 2)], ids=["positive", "one-zero"])
+    def test_peak_memory_is_two_arrays(self, zeros, arrays):
+        # run_prepare's peak falls in its KL call, whose p has a zero: the
+        # copied support of p and one array for the ratio, its log and the
+        # terms (the copied support of q), plus the one-byte masks; three
+        # arrays before the ratio was taken in place. A p positive everywhere
+        # (sample --smoothing) is read in place, leaving the one array
         rng = np.random.default_rng(3)
         p = rng.random(1 << 16)
         p[:zeros] = 0.0
@@ -320,7 +284,7 @@ class TestKlDivergenceFrom:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 2.35 * p.nbytes
+        assert peak <= (arrays + 0.35) * p.nbytes
 
     def test_inputs_checked(self):
         with pytest.raises(ValueError, match="non-negative"):
@@ -467,7 +431,7 @@ class TestMetricCoherence:
         noisy /= np.linalg.norm(noisy)
         state = new_zero_state(n)
         state.amplitudes[:] = noisy
-        amplitude_mse = score_state(target_of(target**2), state).mse
+        amplitude_mse = score_state(target_of(target**2), state).mse_amplitude
         assert amplitude_mse <= 1e-6
         assert magnitude_fidelity(target, state) >= 1.0 - 2 ** (n - 1) * amplitude_mse * 2
         assert magnitude_fidelity(target, state) >= 0.999

@@ -4,6 +4,7 @@ DFT, and the closed-form output distribution."""
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -61,6 +62,23 @@ class TestGridPoints:
         np.testing.assert_allclose(np.diff(points), 0.015625, rtol=1e-12)
         assert points[0] == -2.0
         assert points[-1] == pytest.approx(2.0 - 0.015625)
+
+    def test_bits_of_the_out_of_place_expression(self):
+        for n in range(1, 21):
+            literal = -2.0 + 4.0 / 2.0**n * np.arange(2**n)
+            assert np.array_equal(grid_points(n).view(np.int64), literal.view(np.int64))
+
+    def test_peak_memory_is_one_array(self):
+        # the float64 arange, scaled and shifted in place: half a state of
+        # 16 * 2**n bytes (1.016 states for the integer arange, its product
+        # and its sum)
+        tracemalloc.start()
+        try:
+            grid_points(18)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.55 * (16 << 18)
 
 
 def literal_target_probabilities(decay_rate: float, n: int) -> np.ndarray:

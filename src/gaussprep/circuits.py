@@ -8,10 +8,11 @@ most significant (j = n-1).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import FrozenInstanceError, dataclass, field
 from enum import Enum
-from operator import attrgetter
+from operator import attrgetter, index
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -44,7 +45,7 @@ class GateOp:
     RY/H/X act on exactly one qubit; CPHASE and SWAP on exactly two distinct
     qubits. Only RY and CPHASE carry an angle (radians).
 
-    An immutable slotted record: every construction validates its arguments
+    An immutable slotted record: every public construction validates its arguments
     (the kind must be a GateKind member, not its string value) and
     normalises them (qubits to a tuple of int, the angle to float), and
     equality and hashing are over (kind, qubits, angle).
@@ -108,6 +109,18 @@ _set_qubits = GateOp.qubits.__set__
 _set_angle = GateOp.angle.__set__
 
 
+def _gate(kind: GateKind, qubits: tuple[int, ...], angle: float | None = None) -> GateOp:
+    """A GateOp built without the constructor's checks, for builders whose
+    arguments are valid by construction: kind a GateKind member, qubits a
+    tuple of Python ints (distinct where there are two), angle a finite
+    Python float where the kind takes one and None otherwise."""
+    gate = object.__new__(GateOp)
+    _set_kind(gate, kind)
+    _set_qubits(gate, qubits)
+    _set_angle(gate, angle)
+    return gate
+
+
 def ry(qubit: int, angle: float) -> GateOp:
     return GateOp(GateKind.RY, (qubit,), angle)
 
@@ -143,7 +156,8 @@ class Circuit:
         if self.num_qubits < 1:
             raise ValueError(f"num_qubits must be >= 1, got {self.num_qubits}")
         object.__setattr__(self, "gates", tuple(self.gates))
-        if max(map(max, map(_qubits_of, self.gates)), default=-1) >= self.num_qubits:
+        qubits = itertools.chain.from_iterable(map(_qubits_of, self.gates))
+        if max(qubits, default=-1) >= self.num_qubits:
             gate = next(g for g in self.gates if max(g.qubits) >= self.num_qubits)
             raise ValueError(f"gate {gate} addresses qubit >= num_qubits={self.num_qubits}")
 
@@ -206,8 +220,8 @@ def rotation_angle(j: int, beta: float) -> float:
     """
     if j < 0:
         raise ValueError(f"qubit index must be >= 0, got {j}")
-    if not beta > 0.0:
-        raise ValueError(f"beta must be > 0, got {beta}")
+    if not 0.0 < beta < math.inf:
+        raise ValueError(f"beta must be finite and > 0, got {beta}")
     return 2.0 * math.atan(math.exp(-beta * float(j) * float(j)))
 
 
@@ -230,20 +244,22 @@ def heuristic_beta(decay_rate: float) -> float:
     return beta
 
 
-def _check_synth_size(n: int) -> None:
+def _check_synth_size(n: int) -> int:
+    """n as a Python int, so that every qubit index derived from it is one."""
     if n < 1:
         raise ValueError(f"qubit count must be >= 1, got {n}")
     if n > MAX_SYNTH_QUBITS:
         raise ValueError(f"qubit count {n} exceeds synthesis cap {MAX_SYNTH_QUBITS}")
+    return index(n)
 
 
 def _layer_gates(n: int, beta: float) -> tuple[GateOp, ...]:
-    return tuple(ry(j, rotation_angle(j, beta)) for j in range(n))
+    return tuple(_gate(GateKind.RY, (j,), rotation_angle(j, beta)) for j in range(n))
 
 
 def build_exponential_layer(n: int, beta: float) -> Circuit:
     """One RY(rotation_angle(j, beta)) on each qubit j."""
-    _check_synth_size(n)
+    n = _check_synth_size(n)
     return Circuit(n, _layer_gates(n, beta))
 
 
@@ -268,14 +284,15 @@ def _qft_gates(n: int, policy: PruningPolicy) -> tuple[GateOp, ...]:
     """The gates of build_qft, in order."""
     angles = _kept_angles(n, policy)
     gates: list[GateOp] = []
+    append, H, CPHASE, SWAP = gates.append, GateKind.H, GateKind.CPHASE, GateKind.SWAP
     for target in range(n - 1, -1, -1):
-        gates.append(h(target))
+        append(_gate(H, (target,)))
         # control target - d gets angles[d - 1]; zip stops at control 0 or
         # at the last kept distance
         for control, phi in zip(range(target - 1, -1, -1), angles):
-            gates.append(cphase(target, control, phi))
+            append(_gate(CPHASE, (target, control), phi))
     for i in range(n // 2):
-        gates.append(swap(i, n - 1 - i))
+        append(_gate(SWAP, (i, n - 1 - i)))
     return tuple(gates)
 
 
@@ -288,7 +305,7 @@ def build_qft(n: int, policy: PruningPolicy = PruningPolicy(0.0)) -> Circuit:
     below it (emitted only if the policy keeps the angle), and a trailing layer
     of floor(n/2) SWAPs reverses the register.
     """
-    _check_synth_size(n)
+    n = _check_synth_size(n)
     return Circuit(n, _qft_gates(n, policy))
 
 
@@ -301,9 +318,10 @@ def build_gaussian_prep(
     """Full preparation circuit: exponential Ry layer, pruned QFT, then an X
     on the highest qubit to align the peak with the center of the domain.
     Without beta_override, beta is heuristic_beta(spec.decay_rate)."""
-    _check_synth_size(n)
+    n = _check_synth_size(n)
     beta = beta_override if beta_override is not None else heuristic_beta(spec.decay_rate)
-    return Circuit(n, _layer_gates(n, beta) + _qft_gates(n, policy) + (x(n - 1),))
+    align = _gate(GateKind.X, (n - 1,))
+    return Circuit(n, _layer_gates(n, beta) + _qft_gates(n, policy) + (align,))
 
 
 def full_cphase_count(n: int) -> int:

@@ -21,6 +21,7 @@ import sys
 from pathlib import Path
 from typing import Sequence
 
+from .circuits import PruningPolicy, _check_synth_size, kept_cphase_count
 from .harness import (
     DEFAULT_DELTA,
     SWEEP_COLUMNS,
@@ -172,6 +173,9 @@ SAMPLE_BYTES_PER_SHOT = 16
 # frequencies, the target and the KL's one array at its peak: 2.5 states
 SMOOTHING_EXTRA_STATES = 0.5
 PREPARE_PEAK_STATES = 3.6
+# export-qasm holds every gate, its QASM line and the program text at once
+# (269 and 281 B per gate under tracemalloc at n = 512 and 1024)
+QASM_BYTES_PER_GATE = 320
 
 
 def _available_bytes(path: str = "/proc/meminfo") -> int | None:
@@ -191,7 +195,11 @@ def _check_memory(run: str, n: int, states: float, extra_bytes: int = 0) -> None
     its state is built. The qubit cap is checked first, so a count outside it
     is refused by name."""
     check_simulable(n)
-    needed = math.ceil(states * (16 << n)) + extra_bytes
+    _check_available(run, math.ceil(states * (16 << n)) + extra_bytes)
+
+
+def _check_available(run: str, needed: int) -> None:
+    """Refuse a run that needs more bytes than MemAvailable, where it can be read."""
     available = _available_bytes()
     if available is not None and needed > available:
         raise MemoryError(f"{run} needs about {needed} bytes at its peak, "
@@ -289,6 +297,10 @@ def _cmd_sample(args: argparse.Namespace) -> int:
 
 def _cmd_export_qasm(args: argparse.Namespace) -> int:
     beta = resolve_beta(args.qubits, args.decay_rate, args.beta)
+    policy = PruningPolicy(args.delta)  # refused before the qubit count, as the build does
+    n = _check_synth_size(args.qubits)
+    gates = 2 * n + kept_cphase_count(n, policy) + n // 2 + 1
+    _check_available(f"export-qasm -n {n} ({gates} gates)", QASM_BYTES_PER_GATE * gates)
     _emit(args.out, export_qasm(gaussian_circuit(args.qubits, beta, args.delta)))
     return 0
 

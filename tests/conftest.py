@@ -233,6 +233,17 @@ def literal_encode_exact(target_amplitudes: np.ndarray, n: int) -> Circuit:
     return Circuit(n, tuple(gates))
 
 
+def assert_checked_gates(circuit: Circuit) -> None:
+    """Each gate of a builder equals its rebuild through the checking
+    constructor and has the types that constructor gives: a tuple of Python
+    ints, and a Python float or no angle."""
+    for gate in circuit.gates:
+        assert gate == GateOp(gate.kind, gate.qubits, gate.angle), gate
+        assert type(gate.qubits) is tuple, gate
+        assert all(type(qubit) is int for qubit in gate.qubits), gate
+        assert type(gate.angle) is float or gate.angle is None, gate
+
+
 def random_normalized_amplitudes(rng: np.random.Generator, dim: int) -> np.ndarray:
     """Random complex unit vector."""
     vec = rng.normal(size=dim) + 1j * rng.normal(size=dim)

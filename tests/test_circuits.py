@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import assert_checked_gates
 from gaussprep import (
     Circuit,
     GateKind,
@@ -24,6 +25,7 @@ from gaussprep import (
     build_qft,
     count_gates,
     cphase,
+    encode_exact,
     full_cphase_count,
     h,
     heuristic_beta,
@@ -34,6 +36,7 @@ from gaussprep import (
     run_prepare,
     ry,
     swap,
+    target_distribution,
     x,
 )
 from gaussprep.circuits import HEURISTIC_FALLBACK_BETA, MAX_SYNTH_QUBITS
@@ -173,6 +176,12 @@ class TestRotationAngle:
         with pytest.raises(ValueError):
             rotation_angle(-1, 1.0)
 
+    @pytest.mark.parametrize("beta", [math.inf, math.nan, -math.inf])
+    def test_non_finite_beta_is_named(self, beta):
+        # inf once gave 2*atan(exp(-inf * 0.0)) = nan at j = 0
+        with pytest.raises(ValueError, match=rf"^beta must be finite and > 0, got {beta}$"):
+            rotation_angle(0, beta)
+
 
 class TestBetaFromLambda:
     # the width rule beta = 5 / (2 * lambda) for a positive rate, now inside heuristic_beta
@@ -215,6 +224,10 @@ class TestExponentialLayer:
         assert [g.qubits[0] for g in layer.gates] == list(range(5))
         angles = [g.angle for g in layer.gates]
         assert all(a > b for a, b in zip(angles, angles[1:]))
+
+    def test_infinite_beta_is_named(self):
+        with pytest.raises(ValueError, match=r"^beta must be finite and > 0, got inf$"):
+            build_exponential_layer(3, math.inf)
 
 
 class TestPruningPolicy:
@@ -395,6 +408,66 @@ class TestBuildGaussianPrep:
     def test_beta_override_wins(self):
         circuit = build_gaussian_prep(2, GaussianSpec(decay_rate=1.0), beta_override=0.7)
         assert circuit.gates[1].angle == pytest.approx(rotation_angle(1, 0.7))
+
+    def test_infinite_beta_override_is_named(self):
+        with pytest.raises(ValueError, match=r"^beta must be finite and > 0, got inf$"):
+            build_gaussian_prep(3, GaussianSpec(), PruningPolicy(0.0), beta_override=math.inf)
+
+
+# Betas from one whose angles all stay near pi/2 to one whose angles
+# underflow to 0 from j = 1 on.
+TRUSTED_BETAS = (1e-300, 1e-3, 0.3, 2.5, 1e3, 1e300)
+
+
+class TestBuildersMakeCheckedGates:
+    """The builders construct gates without the constructor's checks; every
+    gate they make must be one the checking constructor makes from the same
+    arguments."""
+
+    def test_exponential_layer(self):
+        for n in range(1, 41):
+            for beta in TRUSTED_BETAS:
+                assert_checked_gates(build_exponential_layer(n, beta))
+
+    def test_qft_pruned_at_every_distance(self):
+        for n in range(1, 41):
+            # 0 keeps every distance; 1.5 * pi / 2**d prunes distance d first
+            for delta in [0.0] + [1.5 * math.ldexp(math.pi, -d) for d in range(1, n)]:
+                assert_checked_gates(build_qft(n, PruningPolicy(delta)))
+
+    def test_gaussian_prep(self):
+        for n in range(1, 41):
+            for beta in (None,) + TRUSTED_BETAS:
+                for delta in (0.0, 0.0123, math.ldexp(math.pi, -(n // 2))):
+                    assert_checked_gates(build_gaussian_prep(
+                        n, GaussianSpec(), PruningPolicy(delta), beta_override=beta))
+
+    def test_numpy_qubit_count(self):
+        # qubit indices derived from a numpy count are still Python ints
+        n = np.int64(6)
+        assert_checked_gates(build_exponential_layer(n, 2.5))
+        assert_checked_gates(build_qft(n))
+        circuit = build_gaussian_prep(n, GaussianSpec())
+        assert_checked_gates(circuit)
+        assert type(circuit.num_qubits) is int
+
+    def test_no_gate_goes_through_the_checking_constructor(self, monkeypatch):
+        calls = []
+        checked_init = GateOp.__init__
+
+        def counting_init(self, *args, **kwargs):
+            calls.append(args)
+            checked_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(GateOp, "__init__", counting_init)
+        h(0)
+        assert len(calls) == 1  # a public construction is counted
+        calls.clear()
+        circuit = build_gaussian_prep(64, GaussianSpec(), PruningPolicy(0.0))
+        assert len(circuit) == 2 * 64 + 64 * 63 // 2 + 32 + 1
+        target = target_distribution(GaussianSpec(), 6).amplitudes
+        assert len(encode_exact(target, 6)) == 7 * 2**6 - 6 * 6 - 7
+        assert calls == []
 
 
 class TestCountGates:

@@ -367,11 +367,12 @@ class TestSample:
 class TestMemoryPreflight:
     # estimated peaks: prepare 3.6 states, sample 2.1 states plus 16 B per
     # shot and half a state more with --smoothing, in bytes rounded up; a
-    # state is 16 * 2**n bytes
+    # state is 16 * 2**n bytes; export-qasm 320 B per gate, 11 gates at n = 3
     @pytest.mark.parametrize("argv, needed", [
         (["prepare", "-n", "10"], 58983),
         (["sample", "-n", "4", "--shots", "100"], 538 + 1600),
         (["sample", "-n", "4", "--shots", "100", "--smoothing", "1e-9"], 666 + 1600),
+        (["export-qasm", "-n", "3", "--delta", "0"], 3520),
     ])
     def test_refused_one_byte_short_of_the_estimate(self, argv, needed, monkeypatch, capsys):
         monkeypatch.setattr(cli, "_available_bytes", lambda: needed)
@@ -397,6 +398,46 @@ class TestMemoryPreflight:
         assert main(["prepare", "-n", "27"]) == 2
         assert capsys.readouterr().err == (
             "gaussprep: error: qubit count 27 outside simulable range 1..26\n")
+
+    @pytest.mark.parametrize("argv, message", [
+        (["export-qasm", "-n", "4097"], "qubit count 4097 exceeds synthesis cap 4096"),
+        (["export-qasm", "-n", "0"], "qubit count must be >= 1, got 0"),
+        (["export-qasm", "-n", "4097", "--delta", "-1"],
+         "pruning threshold must be finite and >= 0, got -1.0"),
+    ])
+    def test_export_inputs_are_named_before_the_memory(self, argv, message, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "_available_bytes", lambda: 0)
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"gaussprep: error: {message}\n"
+
+    def test_export_at_the_cap_is_refused_before_a_gate_is_built(self, monkeypatch, capsys):
+        # 2n + n(n-1)/2 + n/2 + 1 gates at n = 4096, delta = 0: about 2.5 GiB
+        monkeypatch.setattr(cli, "_available_bytes", lambda: 2 << 30)
+        monkeypatch.setattr(cli, "gaussian_circuit", lambda *args: pytest.fail("circuit built"))
+        tracemalloc.start()
+        try:
+            assert main(["export-qasm", "-n", "4096", "--delta", "0"]) == 2
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "gaussprep: error: export-qasm -n 4096 (8396801 gates) needs about 2686976320 "
+            "bytes at its peak, but only 2147483648 bytes are available\n")
+        assert peak < 2**20
+
+    def test_export_peak_memory_per_gate_at_512_qubits(self, tmp_path, capsys):
+        # every gate, its QASM line and the program text: 269 B per gate
+        # under tracemalloc (281 B at n = 1024)
+        argv = ["export-qasm", "-n", "512", "--delta", "0", "--out", str(tmp_path / "p.qasm")]
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= cli.QASM_BYTES_PER_GATE * (2 * 512 + 512 * 511 // 2 + 256 + 1)
 
     def test_reads_mem_available_in_bytes(self, tmp_path):
         meminfo = tmp_path / "meminfo"

@@ -245,12 +245,11 @@ def heuristic_beta(decay_rate: float) -> float:
 
 
 def _check_synth_size(n: int) -> int:
-    """n as a Python int, so that every qubit index derived from it is one."""
     if n < 1:
         raise ValueError(f"qubit count must be >= 1, got {n}")
     if n > MAX_SYNTH_QUBITS:
         raise ValueError(f"qubit count {n} exceeds synthesis cap {MAX_SYNTH_QUBITS}")
-    return index(n)
+    return index(n)  # a Python int, so every qubit index derived from n is one
 
 
 def _layer_gates(n: int, beta: float) -> tuple[GateOp, ...]:
@@ -334,6 +333,13 @@ def kept_cphase_count(n: int, policy: PruningPolicy) -> int:
     of (n - d), i.e. k*n - k*(k+1)/2 for the k kept distances 1..k."""
     k = len(_kept_angles(n, policy))
     return k * n - k * (k + 1) // 2
+
+
+def prep_gate_count(n: int, policy: PruningPolicy) -> int:
+    """len(build_gaussian_prep(n, spec, policy)), refused where that build is: n RY,
+    n H, the kept controlled phases, floor(n/2) SWAPs and one X."""
+    n = _check_synth_size(n)
+    return 2 * n + kept_cphase_count(n, policy) + n // 2 + 1
 
 
 def pruned_cphase_count(n: int, policy: PruningPolicy) -> int:

@@ -21,7 +21,6 @@ import sys
 from pathlib import Path
 from typing import Sequence
 
-from .circuits import PruningPolicy, _check_synth_size, kept_cphase_count
 from .harness import (
     DEFAULT_DELTA,
     SWEEP_COLUMNS,
@@ -31,6 +30,7 @@ from .harness import (
     calibration_table,
     distribution_table,
     gaussian_circuit,
+    gaussian_gate_count,
     histogram_table,
     json_safe,
     prepared_state,
@@ -173,8 +173,7 @@ SAMPLE_BYTES_PER_SHOT = 16
 # frequencies, the target and the KL's one array at its peak: 2.5 states
 SMOOTHING_EXTRA_STATES = 0.5
 PREPARE_PEAK_STATES = 3.6
-# export-qasm holds every gate, its QASM line and the program text at once
-# (269 and 281 B per gate under tracemalloc at n = 512 and 1024)
+# export-qasm holds every gate, its QASM line and the program text (269 B at n = 512)
 QASM_BYTES_PER_GATE = 320
 
 
@@ -297,10 +296,8 @@ def _cmd_sample(args: argparse.Namespace) -> int:
 
 def _cmd_export_qasm(args: argparse.Namespace) -> int:
     beta = resolve_beta(args.qubits, args.decay_rate, args.beta)
-    policy = PruningPolicy(args.delta)  # refused before the qubit count, as the build does
-    n = _check_synth_size(args.qubits)
-    gates = 2 * n + kept_cphase_count(n, policy) + n // 2 + 1
-    _check_available(f"export-qasm -n {n} ({gates} gates)", QASM_BYTES_PER_GATE * gates)
+    gates = gaussian_gate_count(args.qubits, args.delta)
+    _check_available(f"export-qasm -n {args.qubits} ({gates} gates)", QASM_BYTES_PER_GATE * gates)
     _emit(args.out, export_qasm(gaussian_circuit(args.qubits, beta, args.delta)))
     return 0
 

@@ -11,11 +11,10 @@ the exponential growth expected of exact encoding.
 from __future__ import annotations
 
 import math
-import operator
 
 import numpy as np
 
-from .circuits import Circuit, GateKind, GateOp, _gate
+from .circuits import Circuit, GateOp, cphase, h, ry
 
 NORM_TOL = 1e-10
 
@@ -28,8 +27,8 @@ MAX_ENCODE_QUBITS = 16
 def _cnot_gates(control: int, target: int) -> tuple[GateOp, GateOp, GateOp]:
     """CNOT(control, target) as H * CPHASE(pi) * H, built once per pair: the
     gates are immutable, so every CNOT of the pair shares them."""
-    hadamard = _gate(GateKind.H, (target,))
-    return (hadamard, _gate(GateKind.CPHASE, (control, target), math.pi), hadamard)
+    hadamard = h(target)
+    return (hadamard, cphase(control, target, math.pi), hadamard)
 
 
 def _emit_multiplexed_ry(
@@ -49,7 +48,7 @@ def _emit_multiplexed_ry(
     cnots[c] is CNOT(c, target) as H * CPHASE(pi) * H.
     """
     if not controls:
-        gates.append(_gate(GateKind.RY, (target,), float(angles[0])))
+        gates.append(ry(target, float(angles[0])))
         return
     half = len(angles) // 2
     a0, a1 = angles[:half], angles[half:]
@@ -75,7 +74,6 @@ def encode_exact(target_amplitudes: np.ndarray, n: int) -> Circuit:
         raise ValueError(f"qubit count must be >= 1, got {n}")
     if n > MAX_ENCODE_QUBITS:
         raise ValueError(f"exact encoding is capped at {MAX_ENCODE_QUBITS} qubits, got {n}")
-    n = operator.index(n)  # so that every qubit index below is a Python int
     target = np.asarray(target_amplitudes, dtype=np.float64)
     if target.shape != (2**n,):
         raise ValueError(f"expected 2**{n} amplitudes, got shape {target.shape}")
@@ -84,7 +82,7 @@ def encode_exact(target_amplitudes: np.ndarray, n: int) -> Circuit:
     total = float(np.sum(target**2))
     if total == 0.0:
         raise ValueError("zero vector cannot be encoded")
-    if abs(total - 1.0) > NORM_TOL:
+    if not abs(total - 1.0) <= NORM_TOL:  # a nan sum is refused too
         raise ValueError(f"amplitudes must be normalized, got sum of squares {total}")
 
     masses = target**2

@@ -43,6 +43,7 @@ from .circuits import (
     build_gaussian_prep,
     count_gates,
     heuristic_beta,
+    prep_gate_count,
     pruned_cphase_count,
 )
 from .encoder import encode_exact
@@ -235,6 +236,12 @@ def gaussian_circuit(n: int, beta: float, delta: float) -> Circuit:
     every run, sweep, calibration and export builds it here (the spec only
     supplies a beta when none is given)."""
     return build_gaussian_prep(n, GaussianSpec(), PruningPolicy(delta), beta_override=beta)
+
+
+def gaussian_gate_count(n: int, delta: float) -> int:
+    """len(gaussian_circuit(n, beta, delta)) without building it; an input
+    that build refuses is refused here, the threshold first."""
+    return prep_gate_count(n, PruningPolicy(delta))
 
 
 class Run(NamedTuple):

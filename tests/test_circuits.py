@@ -25,7 +25,6 @@ from gaussprep import (
     build_qft,
     count_gates,
     cphase,
-    encode_exact,
     full_cphase_count,
     h,
     heuristic_beta,
@@ -36,10 +35,9 @@ from gaussprep import (
     run_prepare,
     ry,
     swap,
-    target_distribution,
     x,
 )
-from gaussprep.circuits import HEURISTIC_FALLBACK_BETA, MAX_SYNTH_QUBITS
+from gaussprep.circuits import HEURISTIC_FALLBACK_BETA, MAX_SYNTH_QUBITS, prep_gate_count
 from gaussprep.harness import gaussian_circuit
 
 ROTATION_J1_BETA25 = 0.16380275785874288  # 2*atan(exp(-2.5)), frozen scalar oracle
@@ -439,8 +437,10 @@ class TestBuildersMakeCheckedGates:
         for n in range(1, 41):
             for beta in (None,) + TRUSTED_BETAS:
                 for delta in (0.0, 0.0123, math.ldexp(math.pi, -(n // 2))):
-                    assert_checked_gates(build_gaussian_prep(
-                        n, GaussianSpec(), PruningPolicy(delta), beta_override=beta))
+                    policy = PruningPolicy(delta)
+                    circuit = build_gaussian_prep(n, GaussianSpec(), policy, beta_override=beta)
+                    assert_checked_gates(circuit)
+                    assert len(circuit) == prep_gate_count(n, policy)
 
     def test_numpy_qubit_count(self):
         # qubit indices derived from a numpy count are still Python ints
@@ -464,9 +464,7 @@ class TestBuildersMakeCheckedGates:
         assert len(calls) == 1  # a public construction is counted
         calls.clear()
         circuit = build_gaussian_prep(64, GaussianSpec(), PruningPolicy(0.0))
-        assert len(circuit) == 2 * 64 + 64 * 63 // 2 + 32 + 1
-        target = target_distribution(GaussianSpec(), 6).amplitudes
-        assert len(encode_exact(target, 6)) == 7 * 2**6 - 6 * 6 - 7
+        assert len(circuit) == prep_gate_count(64, PruningPolicy(0.0)) == 2 * 64 + 2016 + 32 + 1
         assert calls == []
 
 

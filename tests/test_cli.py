@@ -27,6 +27,7 @@ from gaussprep.harness import (
     DISTRIBUTION_COLUMNS,
     HISTOGRAM_COLUMNS,
     SWEEP_COLUMNS,
+    gaussian_gate_count,
 )
 
 REPORT_KEYS = {
@@ -437,7 +438,7 @@ class TestMemoryPreflight:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= cli.QASM_BYTES_PER_GATE * (2 * 512 + 512 * 511 // 2 + 256 + 1)
+        assert peak <= cli.QASM_BYTES_PER_GATE * gaussian_gate_count(512, 0.0)
 
     def test_reads_mem_available_in_bytes(self, tmp_path):
         meminfo = tmp_path / "meminfo"

@@ -13,11 +13,13 @@ BENCHMARK.json the summary gives each side's median and quartiles
 in how many pairs the change was better. The file is written to the
 root of the checkout this script belongs to.
 
-`--layers [N ...]` also times one layer, the Gaussian circuit's
-`apply_circuit` (lambda 1, delta 0.0123) at each N (default 18 20 22), in
-LAYER_PAIRS pairs of fresh processes, one per side, alternating sides in
-the same way; a process records the best of three runs at each N. Those
-pairs and their summary go under "layers".
+`--layers [N ...]` also times single layers at each N (default 18 20 22):
+the Gaussian circuit's `apply_circuit` (lambda 1, delta 0.0123) and, for
+N <= 12, the exact baseline's `encode_exact` build and the `apply_circuit`
+of its circuit (lambda 1). They run in LAYER_PAIRS pairs of fresh
+processes, one per side, alternating sides in the same way; a process
+records the best of three runs of each layer at each N. Those pairs and
+their summary go under "layers".
 
 Standard library only: it runs with any Python 3.9+, whatever the
 checkouts import.
@@ -36,6 +38,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
 LAYER_PAIRS = 5
+_EXACT_LAYER_MAX_QUBITS = 12
 CLAIM_RULE = ("change better in at least 9 of 10 pairs and median gain larger than "
               "the parent's interquartile range")
 
@@ -57,31 +60,40 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> tuple[
 
 
 # Run in a fresh process with the checkout's src first on the path; prints
-# {"gaussian_apply_circuit_n<N>_s": best of three, ...}. Only names that
-# every checkout exports.
+# {"gaussian_apply_circuit_n<N>_s": best of three, ...} and, for N up to
+# the bound given first, "exact_build_n<N>_s" and "exact_apply_circuit_n<N>_s".
+# Only names that every checkout exports.
 _LAYER_PROBE = """
 import json, sys, time
-from gaussprep import GaussianSpec, PruningPolicy, apply_circuit, build_gaussian_prep, new_zero_state
-out = {}
-for n in map(int, sys.argv[1:]):
-    circuit = build_gaussian_prep(n, GaussianSpec(decay_rate=1.0), PruningPolicy(0.0123))
+from gaussprep import (GaussianSpec, PruningPolicy, apply_circuit, build_gaussian_prep,
+                       encode_exact, new_zero_state, target_distribution)
+def best(run):
     times = []
     for _ in range(3):
-        state = new_zero_state(n)
         start = time.perf_counter()
-        apply_circuit(state, circuit)
+        run()
         times.append(time.perf_counter() - start)
-    out[f"gaussian_apply_circuit_n{n}_s"] = min(times)
+    return min(times)
+out = {}
+exact_max, *qubits = map(int, sys.argv[1:])
+for n in qubits:
+    circuit = build_gaussian_prep(n, GaussianSpec(decay_rate=1.0), PruningPolicy(0.0123))
+    out[f"gaussian_apply_circuit_n{n}_s"] = best(lambda: apply_circuit(new_zero_state(n), circuit))
+    if n <= exact_max:
+        amplitudes = target_distribution(GaussianSpec(decay_rate=1.0), n).amplitudes
+        out[f"exact_build_n{n}_s"] = best(lambda: encode_exact(amplitudes, n))
+        exact = encode_exact(amplitudes, n)
+        out[f"exact_apply_circuit_n{n}_s"] = best(lambda: apply_circuit(new_zero_state(n), exact))
 print(json.dumps(out))
 """
 
 
 def time_layer(checkout: Path, qubits: list[int]) -> dict[str, float]:
-    """One fresh process's best-of-three apply_circuit time at each n."""
+    """One fresh process's best-of-three time of each layer at each n."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(checkout / "src"), env.get("PYTHONPATH")]))
-    done = subprocess.run([sys.executable, "-c", _LAYER_PROBE, *map(str, qubits)], cwd=checkout,
-                          env=env, capture_output=True, text=True)
+    argv = [sys.executable, "-c", _LAYER_PROBE, str(_EXACT_LAYER_MAX_QUBITS), *map(str, qubits)]
+    done = subprocess.run(argv, cwd=checkout, env=env, capture_output=True, text=True)
     if done.returncode != 0:
         raise RuntimeError(f"{checkout}: layer timing failed (exit {done.returncode}):\n{done.stderr}")
     return json.loads(done.stdout.strip().splitlines()[-1])
@@ -128,7 +140,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--name", required=True, help="the file is BENCH_<name>.json")
     parser.add_argument("--runs", nargs="*", default=[], metavar="WORKLOAD=PAIRS")
     parser.add_argument("--layers", nargs="*", type=int, metavar="N",
-                        help="also time the Gaussian apply_circuit at these qubit counts "
+                        help="also time the Gaussian apply_circuit, and the exact baseline "
+                             f"up to {_EXACT_LAYER_MAX_QUBITS} qubits, at these qubit counts "
                              "(default 18 20 22)")
     parser.add_argument("--seed", type=int, default=11)
     parser.add_argument("--seconds", type=float, default=20.0)

@@ -6,8 +6,8 @@ sample (seeded shot sampling), export-qasm (OpenQASM 2.0 serialization).
 
 Exit codes: 0 success, 1 usage error (bad flags/values rejected by the
 parser), 2 runtime or numerical error (cap violations, failed searches,
-unwritable output, a prepare or sample run whose estimated peak exceeds
-the memory available, a refused memory allocation, ...).
+unwritable output, a run whose estimated peak exceeds the memory
+available, a refused memory allocation, ...).
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ import sys
 from pathlib import Path
 from typing import Sequence
 
+from .encoder import MAX_ENCODE_QUBITS
 from .harness import (
     DEFAULT_DELTA,
     SWEEP_COLUMNS,
@@ -173,6 +174,14 @@ SAMPLE_BYTES_PER_SHOT = 16
 # frequencies, the target and the KL's one array at its peak: 2.5 states
 SMOOTHING_EXTRA_STATES = 0.5
 PREPARE_PEAK_STATES = 3.6
+# --out builds the dump as text before it writes: at n = 14 prepare peaks at
+# 24.4 states as CSV and 82.1 as JSON, sample at 24.0 with 1000 shots
+_PREPARE_OUT_PEAK_STATES = {"csv": 26.0, "json": 84.0}
+_SAMPLE_OUT_PEAK_STATES = 26.0
+# sweep, at its largest n: 4.70 states at n = 14; with a baseline row, whose
+# gate list has 7 gates per amplitude, 20.3 at n = 10 and 18.8 at n = 12
+_SWEEP_PEAK_STATES = 5.0
+_SWEEP_BASELINE_PEAK_STATES = 21.0
 # export-qasm holds every gate, its QASM line and the program text (269 B at n = 512)
 QASM_BYTES_PER_GATE = 320
 
@@ -233,7 +242,8 @@ def _emit(path: str | None, text: str) -> None:
 
 
 def _cmd_prepare(args: argparse.Namespace) -> int:
-    _check_memory(f"prepare -n {args.qubits}", args.qubits, PREPARE_PEAK_STATES)
+    states = _PREPARE_OUT_PEAK_STATES[args.format] if args.out else PREPARE_PEAK_STATES
+    _check_memory(f"prepare -n {args.qubits}", args.qubits, states)
     result = run_prepare(args.qubits, args.decay_rate, args.delta, args.beta)
     if args.out:
         if args.format == "csv":
@@ -247,10 +257,15 @@ def _cmd_prepare(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    rows = run_sweep(SweepConfig(
+    config = SweepConfig(
         n_values=tuple(args.qubits), delta_values=tuple(args.deltas), decay_rate=args.decay_rate,
         beta_mode=args.beta, include_baseline=args.include_baseline,
-    ))
+    )
+    states = {n: _SWEEP_BASELINE_PEAK_STATES if args.include_baseline and n <= MAX_ENCODE_QUBITS
+              else _SWEEP_PEAK_STATES for n in config.n_values}
+    needed, n = max((math.ceil(peak * (16 << n)), n) for n, peak in states.items())
+    _check_available(f"sweep -n {n}", needed)
+    rows = run_sweep(config)
     _emit(args.out, table_text(SWEEP_COLUMNS, rows, args.format))
     if args.out:
         failed = sum(1 for row in rows if row.error is not None)
@@ -269,7 +284,8 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
 
 def _cmd_sample(args: argparse.Namespace) -> int:
     check_shots(args.shots)  # before the state is allocated
-    states = SAMPLE_PEAK_STATES + (SMOOTHING_EXTRA_STATES if args.smoothing is not None else 0.0)
+    states = _SAMPLE_OUT_PEAK_STATES if args.out else SAMPLE_PEAK_STATES
+    states += SMOOTHING_EXTRA_STATES if args.smoothing is not None else 0.0
     _check_memory(f"sample -n {args.qubits} with {args.shots} shots", args.qubits,
                   states, SAMPLE_BYTES_PER_SHOT * args.shots)
     # no name holds the state, so it is freed before the shots are drawn

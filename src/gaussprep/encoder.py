@@ -31,34 +31,31 @@ def _cnot_gates(control: int, target: int) -> tuple[GateOp, GateOp, GateOp]:
     return (hadamard, cphase(control, target, math.pi), hadamard)
 
 
-def _emit_multiplexed_ry(
-    gates: list[GateOp],
-    angles: np.ndarray,
-    controls: tuple[int, ...],
-    target: int,
-    cnots: dict[int, tuple[GateOp, GateOp, GateOp]],
-) -> None:
-    """Ry(angles[p]) on target, selected by the controls' bit pattern p
-    (controls[0] is the pattern's most significant bit).
+def _emit_multiplexed_ry(gates: list[GateOp], angles: np.ndarray, target: int) -> None:
+    """Ry(angles[p]) on target, selected by the bit pattern p of the k qubits
+    above it (qubit target + k is the pattern's most significant bit), for
+    2**k angles.
 
-    Recursion: splitting on the top control, with s = (a0+a1)/2 and
-    d = (a0-a1)/2, the multiplexor equals  M(s) CNOT M(d) CNOT  because the
-    CNOT conjugation negates the second block's rotation exactly when the top
-    control is 1 (X Ry(t) X = Ry(-t)), leaving s+d = a0 or s-d = a1.
-    cnots[c] is CNOT(c, target) as H * CPHASE(pi) * H.
+    Splitting on the top control, with s = (a0+a1)/2 and d = (a0-a1)/2, the
+    multiplexor equals  M(s) CNOT M(d) CNOT  because the CNOT conjugation
+    negates the second block's rotation exactly when the top control is 1
+    (X Ry(t) X = Ry(-t)), leaving s+d = a0 or s-d = a1. Stage i applies
+    that split to all 2**i blocks at once, so after k stages the leaves are
+    in emission order, each from the operations the recursion gives it.
+    After leaf j (1-based) come CNOT(target + 1 + i, target) for i from 0 to
+    the index of the lowest set bit of j, or to k - 1 after the last leaf.
     """
-    if not controls:
-        gates.append(ry(target, float(angles[0])))
-        return
-    half = len(angles) // 2
-    a0, a1 = angles[:half], angles[half:]
-    s = (a0 + a1) / 2.0
-    d = (a0 - a1) / 2.0
-    cnot = cnots[controls[0]]
-    _emit_multiplexed_ry(gates, s, controls[1:], target, cnots)
-    gates.extend(cnot)
-    _emit_multiplexed_ry(gates, d, controls[1:], target, cnots)
-    gates.extend(cnot)
+    k = len(angles).bit_length() - 1
+    cnots = [_cnot_gates(target + 1 + i, target) for i in range(k)]
+    leaves = angles
+    for stage in range(k):
+        blocks = leaves.reshape(1 << stage, 2, -1)
+        a0, a1 = blocks[:, 0], blocks[:, 1]
+        leaves = np.stack(((a0 + a1) / 2.0, (a0 - a1) / 2.0), axis=1)
+    for j, angle in enumerate(leaves.ravel().tolist(), 1):
+        gates.append(ry(target, angle))
+        for cnot in cnots[:(j & -j).bit_length()]:
+            gates.extend(cnot)
 
 
 def encode_exact(target_amplitudes: np.ndarray, n: int) -> Circuit:
@@ -100,7 +97,5 @@ def encode_exact(target_amplitudes: np.ndarray, n: int) -> Circuit:
         with np.errstate(divide="ignore", invalid="ignore"):
             ratio = np.where(parents > 0.0, left_children / np.maximum(parents, 1e-300), 1.0)
         angles = 2.0 * np.arccos(np.sqrt(np.clip(ratio, 0.0, 1.0)))
-        controls = tuple(range(n - 1, n - 1 - level, -1))
-        cnots = {c: _cnot_gates(c, n - 1 - level) for c in controls}
-        _emit_multiplexed_ry(gates, angles, controls, n - 1 - level, cnots)
+        _emit_multiplexed_ry(gates, angles, n - 1 - level)
     return Circuit(n, tuple(gates))

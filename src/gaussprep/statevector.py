@@ -84,7 +84,7 @@ def _cuts(shape: tuple[int, ...], size: int) -> tuple[list[tuple[slice, ...]], t
     if not axis:
         return [()], shape
     step = size // inner
-    cuts = [tuple(slice(i, i + 1) for i in outer) + (slice(j, j + step),)
+    cuts = [tuple([slice(i, i + 1) for i in outer]) + (slice(j, j + step),)
             for outer in itertools.product(*map(range, shape[:axis - 1]))
             for j in range(0, shape[axis - 1], step)]
     return cuts, (1,) * (axis - 1) + (step,) + shape[axis:]
@@ -111,46 +111,55 @@ class _Kernels:
 
     A SWAP gate exchanges two entries of bits and moves no amplitude.
     `relayout` moves the amplitudes to a new layout by storage-bit swaps.
-    A one-qubit gate on storage bit p updates the halves a, b of the view
-    amps.reshape(-1, 2, 2**p), which have the bit clear and set; a
-    controlled phase multiplies the block of the view (high, bit hi,
-    middle, bit lo, low) where both bits are set. Every update runs in
-    place, in the order of floating-point operations of the textbook
-    product, so each amplitude gets the same bits in any layout and in any
-    chunking.
+    A one-qubit gate on storage bit p updates the view v =
+    amps.reshape(-1, 2, 2**p), whose halves a = v[:, 0], b = v[:, 1] have
+    the bit clear and set; a controlled phase multiplies the block of the
+    view (high, bit hi, middle, bit lo, low) where both bits are set. Every
+    update runs in place, in the order of floating-point operations of the
+    textbook product, so each amplitude gets the same bits in any layout
+    and in any piece.
 
-    Halves of more than 2**_CHUNK_BITS amplitudes are cut into chunks of
-    that many, and every kernel runs chunk by chunk.
-    Temporaries are views of one scratch buffer of two chunks, or of half a
-    state when that is smaller, allocated at the first gate that needs one.
-    H needs one temporary of a chunk's size; RY, X and storage-bit swaps
-    need two, so where the buffer holds half a state they run over the
-    halves in two pieces. X and the swaps copy both ways through the
-    scratch buffer, because numpy copies a source that shares the
+    A one-qubit gate runs piece by piece. A piece is the largest block of v,
+    of shape (rows, 2, cols), of at most the whole state, or a pair of
+    chunks of 2**_CHUNK_BITS amplitudes on a larger state. The scratch
+    buffer holds a piece, but half the state from 2**11 amplitudes up to a
+    chunk pair, where a whole one would fill the exact encoder's memory
+    guard at 12 qubits; t, t0, t1 are its views of a piece and its halves. A
+    piece of whole rows is a run of the array, and its v and t are then
+    flat. RY (multiply(s, v -> t), multiply(c, v -> v), a -= t1, b += t0)
+    and X (b, a -> t0, t1; t -> v) run on blocks the buffer holds whole: the
+    pieces, or the state's two halves. H runs over both halves at once
+    (add(a, b -> t0), subtract(a, b -> t1), multiply(t, sqrt(1/2) -> v))
+    where the buffer holds the whole state, and elsewhere in place
+    (subtract(a, b -> t1), a += b, a *= sqrt(1/2), multiply(t1, sqrt(1/2) ->
+    b)), which costs less there: four calls on the whole halves against
+    three on each half, and on a chunk pair two passes in place against two
+    into the buffer. On a chunked state each H runs with the controlled
+    phases that follow it on its qubit. Storage-bit swaps copy both ways
+    through two temporaries: numpy copies a source that shares the
     destination's buffer into a hidden temporary of its own first.
 
-    What a gate needs is built at its first use and kept: each storage
-    bit's halves and chunks, the controlled-phase block of each pair, the
-    phase of each controlled-phase angle. The pieces of RY, X and the swaps
-    are sliced at each call: their views, kept for every bit, would add
-    about a sixth of a 12-qubit state to the executor's memory.
+    What a gate needs is built at its first use and kept: the scratch
+    buffer, each storage bit's pieces, the controlled-phase block of each
+    pair, the phase of each controlled-phase angle.
     """
 
     def __init__(self, amps: np.ndarray, n: int) -> None:
         self.amps = amps
         self.bits = list(range(n))
-        half = amps.size // 2
-        self._chunked = half > 1 << _CHUNK_BITS
-        self._scratch_size = max(min(half, 2 << _CHUNK_BITS), 2)  # two elements at n = 1
+        size = amps.size
+        self._chunked = size // 2 > 1 << _CHUNK_BITS
+        self._piece_size = min(size, 2 << _CHUNK_BITS)
+        self._scratch_size = min(self._piece_size, max(size // 2, 1 << 10))
+        self._stacked_h = self._scratch_size == size
         self._scratch: np.ndarray | None = None
-        self._halves: list[tuple[np.ndarray, np.ndarray, np.ndarray] | None] = [None] * n
-        self._chunks: list[list[tuple[np.ndarray, np.ndarray, int]] | None] = [None] * n
-        self._phase_blocks: list[list[np.ndarray | None]] = [[None] * n for _ in range(n)]
+        self._pieces: list[tuple | None] = [None] * n
+        self._phase_blocks: list[np.ndarray | None] = [None] * (n * n)  # at n * p0 + p1
         self._phases: dict[float, complex] = {}
 
     def run(self, gates: tuple[GateOp, ...], begin: int, end: int) -> None:
         """Apply gates[begin:end] in order; on a chunked state each H runs
-        chunk by chunk with the controlled phases on its qubit that follow
+        piece by piece with the controlled phases on its qubit that follow
         it."""
         if not self._chunked:
             self._run_each(itertools.islice(gates, begin, end))
@@ -168,11 +177,10 @@ class _Kernels:
                 q0, q1 = gates[i].qubits
                 controls.append((bits[q1 if q0 == q else q0], self._phase(gates[i].angle)))
                 i += 1
-            self.hadamard_chunks(bits[q], controls)
+            self.hadamard(bits[q], controls)
 
     def _run_each(self, gates: Iterable[GateOp]) -> None:
-        """Apply the gates one by one (an H only on a state that is not
-        chunked)."""
+        """Apply the gates one by one (an H without its controlled phases)."""
         bits = self.bits
         hadamard, cphase, ry, x = self.hadamard, self.cphase, self.ry, self.x
         for gate in gates:
@@ -215,31 +223,44 @@ class _Kernels:
         scratch = self._scratch
         return [scratch[i * size:(i + 1) * size].reshape(shape) for i in range(count)]
 
-    def _halves_of(self, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The halves of storage bit p and a temporary of the shape of their
-        chunks (of the halves, on a state that is not chunked)."""
-        halves = self._halves[p]
-        if halves is None:
+    def _bit_pieces(self, p: int) -> tuple:
+        """Storage bit p's pieces as (v, a, b, base, t, t0, t1), base the
+        index of the first amplitude of b. Where the scratch buffer holds
+        half the state, t and t0 are None and t1 is the buffer as a half."""
+        pieces = self._pieces[p]
+        if pieces is None:
+            scratch, = self._temporaries((self._scratch_size,), self._scratch_size, 1)
             view = self.amps.reshape(-1, 2, 1 << p)
-            a = view[:, 0]
-            shape = _cuts(a.shape, 1 << _CHUNK_BITS)[1]
-            t, = self._temporaries(shape, math.prod(shape), 1)
-            halves = self._halves[p] = (a, view[:, 1], t)
-        return halves
+            cuts, (rows, cols) = _cuts((view.shape[0], 1 << p), self._piece_size // 2)
+            whole_rows = cols == 1 << p
+            runs = self.amps.reshape(-1, self._piece_size) if len(cuts) > 1 else (self.amps,)
+            if scratch.size < self._piece_size:
+                temporaries = (None, None, scratch.reshape(rows, cols))
+            else:
+                t = scratch.reshape(rows, 2, cols)
+                temporaries = (scratch if whole_rows else t, t[:, 0], t[:, 1])
+            pieces = []
+            for k, cut in enumerate(cuts):
+                piece = view[cut[:1] + (slice(None),) + cut[1:]] if cut else view
+                starts = [s.start for s in cut] + [0, 0]
+                base = starts[0] * (2 << p) + (1 << p) + starts[1] if self._chunked else 0
+                pieces.append((runs[k] if whole_rows else piece, piece[:, 0], piece[:, 1], base)
+                              + temporaries)
+            pieces = self._pieces[p] = tuple(pieces)
+        return pieces
 
-    def _chunks_of(self, p: int) -> list[tuple[np.ndarray, np.ndarray, int]]:
-        """The chunks of storage bit p's halves as (a, b, base), base the
-        index of the first amplitude of b."""
-        chunks = self._chunks[p]
-        if chunks is None:
-            a, b, _ = self._halves_of(p)
-            origin = self.amps.__array_interface__["data"][0]
-            chunks = self._chunks[p] = []
-            for cut in _cuts(a.shape, 1 << _CHUNK_BITS)[0]:
-                b_cut = b[cut]
-                base = (b_cut.__array_interface__["data"][0] - origin) // b_cut.itemsize
-                chunks.append((a[cut], b_cut, base))
-        return chunks
+    def _scratch_pieces(self, p: int) -> tuple:
+        """Storage bit p's pieces; where the scratch buffer holds half the
+        state, its halves, cut at each call (kept for every bit, their views
+        take the 12-qubit exact encoder to its one-state memory guard)."""
+        pieces = self._bit_pieces(p)  # which also allocates the buffer
+        if self._scratch_size == self._piece_size:
+            return pieces
+        rows, cols = pieces[0][1].shape  # by rows, or by columns on the top bit
+        halves = (self.amps.reshape(2, rows // 2, 2, cols) if rows > 1
+                  else self.amps.reshape(1, 2, 2, cols // 2).transpose(2, 0, 1, 3))
+        t = self._scratch.reshape(halves.shape[1:])
+        return [(v, v[:, 0], v[:, 1], 0, t, t[:, 0], t[:, 1]) for v in halves]
 
     def _pieces_of(self, a: np.ndarray, b: np.ndarray) -> tuple:
         """a and b, two views of one shape, cut into pieces (a, b) for which
@@ -247,24 +268,6 @@ class _Kernels:
         cuts, shape = _cuts(a.shape, self._scratch_size // 2)
         t, u = self._temporaries(shape, math.prod(shape), 2)
         return [(a[cut], b[cut]) for cut in cuts], t, u
-
-    def _half_pieces(self, p: int) -> tuple:
-        """`_pieces_of` the halves of storage bit p. On a state that is not
-        chunked the halves are cut in two along their outer axis where it
-        has two rows or more (one piece at n = 1), and the temporaries are
-        the two pieces of the H temporary, which keeps the many RY gates of
-        a small circuit cheap and keeps nothing per bit."""
-        a, b, t = self._halves_of(p)
-        if self._chunked:
-            return self._pieces_of(a, b)
-        if self._scratch_size >= 2 * a.size:
-            return [(a, b)], t, self._scratch[a.size:2 * a.size].reshape(a.shape)
-        rows, cols = a.shape
-        if rows > 1:
-            cuts = (slice(None, rows // 2),), (slice(rows // 2, None),)
-        else:
-            cuts = (slice(None), slice(None, cols // 2)), (slice(None), slice(cols // 2, None))
-        return [(a[cut], b[cut]) for cut in cuts], t[cuts[0]], t[cuts[1]]
 
     def _phase(self, angle: float) -> complex:
         phase = self._phases.get(angle)
@@ -274,22 +277,22 @@ class _Kernels:
                 self._phases[angle] = phase
         return phase
 
-    def hadamard(self, p: int) -> None:
-        a, b, t = self._halves_of(p)
-        np.subtract(a, b, out=t)
-        a += b
-        a *= _SQRT1_2
-        np.multiply(t, _SQRT1_2, out=b)
-
-    def hadamard_chunks(self, p: int, controls: Sequence[tuple[int, complex]]) -> None:
+    def hadamard(self, p: int, controls: Sequence[tuple[int, complex]] = ()) -> None:
         """H on storage bit p, then each (storage bit, phase) of `controls`
-        as a controlled phase between that bit and p, chunk by chunk."""
-        t = self._halves_of(p)[2]
-        for a, b, base in self._chunks_of(p):
-            np.subtract(a, b, out=t)
-            a += b
-            a *= _SQRT1_2
-            np.multiply(t, _SQRT1_2, out=b)
+        as a controlled phase between that bit and p, piece by piece. Where
+        the scratch buffer holds the whole state, H runs over both halves
+        at once; elsewhere two of its four passes run in place."""
+        stacked = self._stacked_h
+        for v, a, b, base, t, t0, t1 in self._bit_pieces(p):
+            if stacked:
+                np.add(a, b, out=t0)
+                np.subtract(a, b, out=t1)
+                np.multiply(t, _SQRT1_2, out=v)
+            else:
+                np.subtract(a, b, out=t1)
+                a += b
+                a *= _SQRT1_2
+                np.multiply(t1, _SQRT1_2, out=b)
             for pc, phase in controls:
                 block = _control_block(b, p, pc, base)
                 if block is not None:
@@ -297,25 +300,22 @@ class _Kernels:
 
     def ry(self, p: int, angle: float) -> None:
         c, s = math.cos(angle / 2.0), math.sin(angle / 2.0)
-        pieces, sa, sb = self._half_pieces(p)
-        for a, b in pieces:
-            np.multiply(a, s, out=sa)
-            np.multiply(b, s, out=sb)
-            a *= c
-            a -= sb
-            b *= c
-            b += sa
+        for v, a, b, _, t, t0, t1 in self._scratch_pieces(p):
+            np.multiply(s, v, out=t)  # scalar first, as c * a in the product
+            np.multiply(c, v, out=v)
+            a -= t1
+            b += t0
 
     def x(self, p: int) -> None:
-        self._exchange(*self._half_pieces(p))
+        for v, a, b, _, t, t0, t1 in self._scratch_pieces(p):
+            np.copyto(t0, b)
+            np.copyto(t1, a)
+            np.copyto(v, t)
 
     def swap(self, p0: int, p1: int) -> None:
         """Exchange the amplitudes of storage bits p0 and p1."""
         view = self._pair_view(p0, p1)
-        self._exchange(*self._pieces_of(view[:, 0, :, 1, :], view[:, 1, :, 0, :]))
-
-    @staticmethod
-    def _exchange(pieces: list, t: np.ndarray, u: np.ndarray) -> None:
+        pieces, t, u = self._pieces_of(view[:, 0, :, 1, :], view[:, 1, :, 0, :])
         for a, b in pieces:
             np.copyto(t, a)
             np.copyto(u, b)
@@ -327,10 +327,10 @@ class _Kernels:
         return self.amps.reshape(-1, 2, 1 << (hi - lo - 1), 2, 1 << lo)
 
     def cphase(self, p0: int, p1: int, angle: float) -> None:
-        row = self._phase_blocks[p0]
-        block = row[p1]
+        key = len(self.bits) * p0 + p1
+        block = self._phase_blocks[key]
         if block is None:
-            block = row[p1] = self._pair_view(p0, p1)[:, 1, :, 1, :]
+            block = self._phase_blocks[key] = self._pair_view(p0, p1)[:, 1, :, 1, :]
         phase = self._phases.get(angle)
         block *= self._phase(angle) if phase is None else phase
 

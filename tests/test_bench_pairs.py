@@ -61,9 +61,10 @@ class TestLayers:
         assert record["workloads"] == {}
         pairs = record["layers"]["pairs"]
         assert [pair["first"] for pair in pairs] == ["parent", "change"]
+        layers = ["gaussian_apply_circuit_n3_s", "exact_build_n3_s", "exact_apply_circuit_n3_s"]
         for pair in pairs:
             for side in bench_pairs.SIDES:
-                assert list(pair[side]) == ["gaussian_apply_circuit_n3_s"]
-                assert 0.0 < pair[side]["gaussian_apply_circuit_n3_s"] < 1.0
-        entry = record["layers"]["summary"]["gaussian_apply_circuit_n3_s"]
-        assert entry["change_wins"].endswith("/2")
+                assert list(pair[side]) == layers
+                assert all(0.0 < pair[side][layer] < 1.0 for layer in layers)
+        for layer in layers:
+            assert record["layers"]["summary"][layer]["change_wins"].endswith("/2")

@@ -366,16 +366,26 @@ class TestSample:
 
 
 class TestMemoryPreflight:
-    # estimated peaks: prepare 3.6 states, sample 2.1 states plus 16 B per
-    # shot and half a state more with --smoothing, in bytes rounded up; a
-    # state is 16 * 2**n bytes; export-qasm 320 B per gate, 11 gates at n = 3
+    # estimated peaks: prepare 3.6 states, or 26 with --out as CSV and 84 as
+    # JSON; sample 2.1 states, or 26 with --out, plus 16 B per shot and half
+    # a state more with --smoothing; sweep 5 states of its largest n, or 21
+    # with a baseline row; in bytes rounded up; a state is 16 * 2**n bytes;
+    # export-qasm 320 B per gate, 11 gates at n = 3
     @pytest.mark.parametrize("argv, needed", [
         (["prepare", "-n", "10"], 58983),
         (["sample", "-n", "4", "--shots", "100"], 538 + 1600),
         (["sample", "-n", "4", "--shots", "100", "--smoothing", "1e-9"], 666 + 1600),
         (["export-qasm", "-n", "3", "--delta", "0"], 3520),
+        (["prepare", "-n", "4", "--out", "OUT"], 6656),
+        (["prepare", "-n", "4", "--format", "json", "--out", "OUT"], 21504),
+        (["sample", "-n", "4", "--shots", "100", "--out", "OUT"], 6656 + 1600),
+        (["sweep", "-n", "4", "3"], 1280),
+        (["sweep", "-n", "4", "3", "--include-baseline"], 5376),
+        (["sweep", "-n", "17", "--include-baseline"], 10485760),  # no baseline above 16
     ])
-    def test_refused_one_byte_short_of_the_estimate(self, argv, needed, monkeypatch, capsys):
+    def test_refused_one_byte_short_of_the_estimate(self, argv, needed, tmp_path, monkeypatch,
+                                                    capsys):
+        argv = [str(tmp_path / "out") if arg == "OUT" else arg for arg in argv]
         monkeypatch.setattr(cli, "_available_bytes", lambda: needed)
         assert main(argv) == 0
         capsys.readouterr()
@@ -386,6 +396,31 @@ class TestMemoryPreflight:
         assert captured.err.startswith(f"gaussprep: error: {argv[0]} -n {argv[2]} ")
         assert captured.err.endswith(f" needs about {needed} bytes at its peak, "
                                      f"but only {needed - 1} bytes are available\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["prepare", "-n", "14", "--out", "OUT"],
+        ["prepare", "-n", "14", "--format", "json", "--out", "OUT"],
+        ["sample", "-n", "14", "--shots", "1000", "--out", "OUT"],
+        ["sweep", "-n", "14"],
+        ["sweep", "-n", "10", "--include-baseline"],
+    ], ids=["prepare-csv", "prepare-json", "sample-out", "sweep", "sweep-baseline"])
+    def test_peak_memory_within_the_estimate(self, argv, tmp_path, monkeypatch, capsys):
+        # the estimate the command checks against MemAvailable, against the
+        # tracemalloc peak of the run (a run at n = 2 first, for what a
+        # first call allocates once)
+        argv = [str(tmp_path / "out") if arg == "OUT" else arg for arg in argv]
+        assert main(argv[:2] + ["2"] + argv[3:]) == 0
+        estimates = []
+        check = cli._check_available
+        monkeypatch.setattr(cli, "_check_available",
+                            lambda run, needed: (estimates.append(needed), check(run, needed)))
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= estimates[-1]
 
     def test_unreadable_meminfo_skips_the_check(self, monkeypatch, capsys):
         monkeypatch.setattr(cli, "_available_bytes", lambda: None)

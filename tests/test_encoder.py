@@ -114,6 +114,19 @@ class TestCostModel:
         cphases = {id(op) for op in circuit.gates if op.kind is GateKind.CPHASE}
         assert len(cphases) == n * (n - 1) // 2
 
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_angles_have_the_bits_of_the_per_gate_construction(self, n):
+        # GateOp equality takes -0.0 for 0.0, but QASM prints "-0": compare reprs
+        rng = np.random.default_rng(100 + n)
+        sparse = rng.random(2**n)
+        sparse[rng.random(2**n) < 0.25] = 0.0  # empty subtrees
+        sparse[-1] = 1.0
+        sparse /= np.linalg.norm(sparse)
+        gaussian = target_distribution(GaussianSpec(decay_rate=1.3), n).amplitudes
+        for target in (gaussian, sparse):
+            angles = [repr(op.angle) for op in encode_exact(target, n).gates]
+            assert angles == [repr(op.angle) for op in literal_encode_exact(target, n).gates]
+
     def test_cost_at_least_doubles_per_qubit(self):
         for n in range(4, 10):
             assert encoder_total(n + 1) >= 2 * encoder_total(n)

@@ -8,7 +8,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -274,6 +274,19 @@ def _busy_circuits(draw):
 
 
 @st.composite
+def _boundary_circuits(draw):
+    """Any of the five gates on 9, 10 or 11 qubits: states on both sides of
+    2**10 amplitudes, the largest state the scratch buffer holds whole."""
+    n = draw(st.sampled_from((9, 10, 11)))
+    qubit = st.integers(min_value=0, max_value=n - 1)
+    pair = st.lists(qubit, min_size=2, max_size=2, unique=True)
+    gate = (st.builds(ry, qubit, _ANGLES) | st.builds(h, qubit) | st.builds(x, qubit)
+            | st.builds(lambda p, a: cphase(*p, a), pair, _ANGLES)
+            | st.builds(lambda p: swap(*p), pair))
+    return Circuit(n, tuple(draw(st.lists(gate, max_size=16))))
+
+
+@st.composite
 def _ry_runs(draw):
     """RY gates on distinct qubits of 1..10 in any order, then perhaps a
     repeated qubit, which ends the run, and further RY gates."""
@@ -341,6 +354,15 @@ class TestKernelsMatchLiteralGates:
         amplitudes[::3] *= -0.0  # signed zeros among the amplitudes
         _assert_bits_match_literal_gates(amplitudes, circuit)
 
+    @settings(max_examples=40)
+    @given(_boundary_circuits(), st.integers(min_value=0, max_value=2**32 - 1))
+    @example(Circuit(10, (ry(9, -0.0), h(0), ry(0, 1e-300), x(5), swap(0, 9), ry(9, 0.0))), 0)
+    @example(Circuit(11, (ry(10, -0.0), h(3), ry(0, 1e-300), x(10), cphase(10, 2, -0.0), h(10))), 0)
+    def test_both_sides_of_the_whole_state_scratch(self, circuit, seed):
+        amplitudes = random_normalized_amplitudes(np.random.default_rng(seed), 1 << circuit.num_qubits)
+        amplitudes[::3] *= -0.0  # signed zeros among the amplitudes
+        _assert_bits_match_literal_gates(amplitudes, circuit)
+
     def test_state_other_than_zero_is_not_overwritten(self):
         # |0...0> up to a global phase is not |0...0>: the RY prefix must not
         # replace it with a product state
@@ -401,6 +423,10 @@ class TestScheduledExecutor:
     @given(_swapping_circuits(), st.integers(min_value=2, max_value=4), st.booleans(),
            st.integers(min_value=0, max_value=2**32 - 1))
     @example(Circuit(4, (h(3), cphase(3, 0, 0.3), cphase(3, 2, -0.0), swap(0, 3), x(0))), 2, False, 0)
+    # an RY whose products underflow: numpy rounds c * a to -0j and a * c to 0j
+    @example(Circuit(9, tuple(ry(q, a) for q, a in zip(
+        (0, 1, 2, 4, 5, 3, 6, 7, 8), (0.0, 0.0, math.pi, 0.0, 0.0, 1e-300, math.pi, 0.0, 0.0)))
+        + (cphase(2, 3, -0.4), ry(0, math.pi))), 2, True, 0)
     def test_random_circuits(self, circuit, chunk_bits, from_zero, seed):
         amplitudes = random_normalized_amplitudes(np.random.default_rng(seed), 1 << circuit.num_qubits)
         amplitudes[::3] *= -0.0
@@ -419,7 +445,7 @@ class TestScheduledExecutor:
             _assert_bits_match_literal_from_zero(circuit)
         assert len(swaps) <= n // 2
 
-    @pytest.mark.parametrize("n", range(2, 9))
+    @pytest.mark.parametrize("n", range(2, 11))
     def test_exact_encoding_circuits(self, n):
         target = target_distribution(GaussianSpec(decay_rate=1.0), n)
         circuit = encode_exact(target.amplitudes, n)

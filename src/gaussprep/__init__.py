@@ -15,7 +15,6 @@ from .circuits import (
     GateKind,
     GateOp,
     PruningPolicy,
-    build_exponential_layer,
     build_gaussian_prep,
     build_qft,
     count_gates,
@@ -95,7 +94,6 @@ __all__ = [
     "SweepRow",
     "TargetDistribution",
     "apply_circuit",
-    "build_exponential_layer",
     "build_gaussian_prep",
     "build_qft",
     "calibrate_beta",

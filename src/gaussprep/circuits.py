@@ -1,5 +1,5 @@
-"""Circuit types and builders: the exponential Ry layer, the optionally
-pruned QFT, the composed Gaussian-preparation circuit, and gate accounting.
+"""Circuit types and builders: the optionally pruned QFT, the Gaussian-
+preparation circuit (exponential Ry layer, QFT, X), and gate accounting.
 
 Qubit convention used everywhere in this package: bit j of a basis index has
 significance 2**j, so "qubit j" ranges from the least significant (j=0) to the
@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import FrozenInstanceError, dataclass, field
+from collections import Counter
+from dataclasses import FrozenInstanceError, asdict, dataclass, field
 from enum import Enum
 from operator import attrgetter, index
 from typing import TYPE_CHECKING
@@ -39,6 +40,7 @@ _TWO_QUBIT = (GateKind.CPHASE, GateKind.SWAP)
 _ANGLED = (GateKind.RY, GateKind.CPHASE)
 
 
+@dataclass(slots=True, init=False, unsafe_hash=True)
 class GateOp:
     """One primitive gate: kind, qubit indices, and an angle where applicable.
 
@@ -48,10 +50,10 @@ class GateOp:
     An immutable slotted record: every public construction validates its arguments
     (the kind must be a GateKind member, not its string value) and
     normalises them (qubits to a tuple of int, the angle to float), and
-    equality and hashing are over (kind, qubits, angle).
+    equality and hashing are over (kind, qubits, angle). It is not declared
+    frozen: on Python 3.11 a frozen slotted dataclass raises TypeError, not
+    AttributeError, on assignment to a name that is not a field.
     """
-
-    __slots__ = ("kind", "qubits", "angle")
 
     kind: GateKind
     qubits: tuple[int, ...]
@@ -85,17 +87,6 @@ class GateOp:
 
     def __delattr__(self, name: str) -> None:
         raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not GateOp:
-            return NotImplemented
-        return (self.kind, self.qubits, self.angle) == (other.kind, other.qubits, other.angle)
-
-    def __hash__(self) -> int:
-        return hash((self.kind, self.qubits, self.angle))
-
-    def __repr__(self) -> str:
-        return f"GateOp(kind={self.kind!r}, qubits={self.qubits!r}, angle={self.angle!r})"
 
     def __reduce__(self):
         # copy and pickle rebuild through the validating constructor
@@ -202,14 +193,7 @@ class GateInventory:
         return self.ry + self.h + self.x + self.cphase + self.swap
 
     def as_dict(self) -> dict[str, int]:
-        return {
-            "ry": self.ry,
-            "h": self.h,
-            "x": self.x,
-            "cphase": self.cphase,
-            "swap": self.swap,
-            "total": self.total,
-        }
+        return {**asdict(self), "total": self.total}
 
 
 def rotation_angle(j: int, beta: float) -> float:
@@ -254,12 +238,6 @@ def _check_synth_size(n: int) -> int:
 
 def _layer_gates(n: int, beta: float) -> tuple[GateOp, ...]:
     return tuple(_gate(GateKind.RY, (j,), rotation_angle(j, beta)) for j in range(n))
-
-
-def build_exponential_layer(n: int, beta: float) -> Circuit:
-    """One RY(rotation_angle(j, beta)) on each qubit j."""
-    n = _check_synth_size(n)
-    return Circuit(n, _layer_gates(n, beta))
 
 
 def _kept_angles(n: int, policy: PruningPolicy) -> list[float]:
@@ -350,13 +328,5 @@ def pruned_cphase_count(n: int, policy: PruningPolicy) -> int:
 def count_gates(circuit: Circuit) -> GateInventory:
     """Tally a circuit per gate kind; how many controlled phases pruning
     removed is pruned_cphase_count's, as the circuit alone does not show it."""
-    tally = {kind: 0 for kind in GateKind}
-    for gate in circuit.gates:
-        tally[gate.kind] += 1
-    return GateInventory(
-        ry=tally[GateKind.RY],
-        h=tally[GateKind.H],
-        x=tally[GateKind.X],
-        cphase=tally[GateKind.CPHASE],
-        swap=tally[GateKind.SWAP],
-    )
+    tally = Counter(map(attrgetter("kind"), circuit.gates))
+    return GateInventory(**{kind.value: count for kind, count in tally.items()})

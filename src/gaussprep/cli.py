@@ -184,6 +184,11 @@ _SWEEP_PEAK_STATES = 5.0
 _SWEEP_BASELINE_PEAK_STATES = 21.0
 # export-qasm holds every gate, its QASM line and the program text (269 B at n = 512)
 QASM_BYTES_PER_GATE = 320
+# Every estimate adds what a run allocates whatever its size: under
+# tracemalloc, after a run at n = 2, plain prepare peaks 25,639 B above 3.6
+# states at n = 14, 49,692 B at n = 10 and 53,247 B at n = 2, and sample
+# 8,570 B above its estimate at n = 14 with 1000 shots.
+FIXED_PEAK_BYTES = 64 << 10
 
 
 def _available_bytes(path: str = "/proc/meminfo") -> int | None:
@@ -207,7 +212,9 @@ def _check_memory(run: str, n: int, states: float, extra_bytes: int = 0) -> None
 
 
 def _check_available(run: str, needed: int) -> None:
-    """Refuse a run that needs more bytes than MemAvailable, where it can be read."""
+    """Refuse a run that needs more bytes than MemAvailable, where it can be
+    read; `needed` is its estimate before FIXED_PEAK_BYTES is added."""
+    needed += FIXED_PEAK_BYTES
     available = _available_bytes()
     if available is not None and needed > available:
         raise MemoryError(f"{run} needs about {needed} bytes at its peak, "

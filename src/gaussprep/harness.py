@@ -204,14 +204,11 @@ def _validate_beta_mode(beta_mode: BetaMode) -> None:
             raise ValueError(
                 f"beta_mode must be 'heuristic', 'calibrated', or a positive number, got {beta_mode!r}"
             )
-    elif isinstance(beta_mode, bool):
-        # bool is an int subclass; catch it before the numeric branch
-        raise ValueError(f"beta_mode must be a string or number, got {beta_mode!r}")
-    elif isinstance(beta_mode, (int, float)):
+    elif isinstance(beta_mode, (int, float)) and not isinstance(beta_mode, bool):
         if not (float(beta_mode) > 0.0 and math.isfinite(float(beta_mode))):
             raise ValueError(f"explicit beta must be finite and > 0, got {beta_mode}")
-    else:
-        raise ValueError(f"beta_mode must be a string or number, got {type(beta_mode).__name__}")
+    else:  # bool is an int subclass, but no beta
+        raise ValueError(f"beta_mode must be a string or number, got {beta_mode!r}")
 
 
 def resolve_beta(n: int, decay_rate: float, beta_mode: BetaMode) -> float:

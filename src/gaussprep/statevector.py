@@ -9,7 +9,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -161,38 +161,28 @@ class _Kernels:
         """Apply gates[begin:end] in order; on a chunked state each H runs
         piece by piece with the controlled phases on its qubit that follow
         it."""
-        if not self._chunked:
-            self._run_each(itertools.islice(gates, begin, end))
-            return
-        bits, i = self.bits, begin
+        bits, chunked = self.bits, self._chunked
+        hadamard, cphase, ry, x = self.hadamard, self.cphase, self.ry, self.x
+        H, CPHASE, RY, SWAP = GateKind.H, GateKind.CPHASE, GateKind.RY, GateKind.SWAP
+        i = begin
         while i < end:
             gate = gates[i]
             i += 1
-            if gate.kind is not GateKind.H:
-                self._run_each((gate,))
-                continue
-            q = gate.qubits[0]
-            controls = []
-            while i < end and gates[i].kind is GateKind.CPHASE and q in gates[i].qubits:
-                q0, q1 = gates[i].qubits
-                controls.append((bits[q1 if q0 == q else q0], self._phase(gates[i].angle)))
-                i += 1
-            self.hadamard(bits[q], controls)
-
-    def _run_each(self, gates: Iterable[GateOp]) -> None:
-        """Apply the gates one by one (an H without its controlled phases)."""
-        bits = self.bits
-        hadamard, cphase, ry, x = self.hadamard, self.cphase, self.ry, self.x
-        for gate in gates:
             kind = gate.kind
-            if kind is GateKind.H:
-                hadamard(bits[gate.qubits[0]])
-            elif kind is GateKind.CPHASE:
+            if kind is H:
+                q = gate.qubits[0]
+                controls = []
+                while chunked and i < end and gates[i].kind is CPHASE and q in gates[i].qubits:
+                    q0, q1 = gates[i].qubits
+                    controls.append((bits[q1 if q0 == q else q0], self._phase(gates[i].angle)))
+                    i += 1
+                hadamard(bits[q], controls)
+            elif kind is CPHASE:
                 q0, q1 = gate.qubits
                 cphase(bits[q0], bits[q1], gate.angle)
-            elif kind is GateKind.RY:
+            elif kind is RY:
                 ry(bits[gate.qubits[0]], gate.angle)
-            elif kind is GateKind.SWAP:
+            elif kind is SWAP:
                 q0, q1 = gate.qubits
                 bits[q0], bits[q1] = bits[q1], bits[q0]
             elif kind is GateKind.X:

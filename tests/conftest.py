@@ -47,6 +47,11 @@ def circuit_matrix(circuit: Circuit) -> np.ndarray:
     return matrix
 
 
+def exponential_layer(n: int, beta: float) -> Circuit:
+    """The Gaussian circuit's Ry layer on its own, one checked RY per qubit."""
+    return Circuit(n, tuple(ry(j, rotation_angle(j, beta)) for j in range(n)))
+
+
 def literal_closed_form_probabilities(
     n: int, beta: float, msb_flipped: bool = False
 ) -> np.ndarray:

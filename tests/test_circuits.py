@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import copy
+import dataclasses
 import math
 import pickle
 import re
@@ -13,14 +14,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import assert_checked_gates
+from conftest import assert_checked_gates, exponential_layer
 from gaussprep import (
     Circuit,
     GateKind,
     GateOp,
     GaussianSpec,
     PruningPolicy,
-    build_exponential_layer,
     build_gaussian_prep,
     build_qft,
     count_gates,
@@ -126,8 +126,21 @@ class TestGateOp:
     def test_repr(self):
         assert repr(h(2)) == "GateOp(kind=<GateKind.H: 'h'>, qubits=(2,), angle=None)"
 
+    def test_replace_goes_through_the_constructor(self):
+        gate = cphase(1, 0, 0.5)
+        with pytest.raises(ValueError, match=r"^cphase qubits must be distinct: \(1, 1\)$"):
+            dataclasses.replace(gate, qubits=(1, 1))
+        assert dataclasses.replace(gate, angle=np.float32(0.25)) == cphase(1, 0, 0.25)
+
+    def test_slotted(self):
+        assert not hasattr(h(0), "__dict__")
+
 
 class TestCircuit:
+    def test_empty_register_refused(self):
+        with pytest.raises(ValueError, match=r"^num_qubits must be >= 1, got 0$"):
+            Circuit(0, ())
+
     def test_gate_indices_must_fit_register(self):
         with pytest.raises(ValueError, match=r"addresses qubit >= num_qubits=2$"):
             Circuit(2, (h(2),))
@@ -211,21 +224,22 @@ class TestHeuristicBeta:
 
 
 class TestExponentialLayer:
+    """The first n gates of the Gaussian circuit."""
+
     def test_single_qubit_layer(self):
-        layer = build_exponential_layer(1, 2.5)
-        assert layer.gates == (ry(0, math.pi / 2),)
+        circuit = build_gaussian_prep(1, GaussianSpec(), beta_override=2.5)
+        assert circuit.gates[:1] == (ry(0, math.pi / 2),)
 
     def test_one_rotation_per_qubit_with_decreasing_angles(self):
-        layer = build_exponential_layer(5, 2.5)
-        assert len(layer) == 5
-        assert all(g.kind is GateKind.RY for g in layer.gates)
-        assert [g.qubits[0] for g in layer.gates] == list(range(5))
-        angles = [g.angle for g in layer.gates]
+        layer = build_gaussian_prep(5, GaussianSpec(), beta_override=2.5).gates[:5]
+        assert all(g.kind is GateKind.RY for g in layer)
+        assert [g.qubits[0] for g in layer] == list(range(5))
+        angles = [g.angle for g in layer]
         assert all(a > b for a, b in zip(angles, angles[1:]))
 
     def test_infinite_beta_is_named(self):
         with pytest.raises(ValueError, match=r"^beta must be finite and > 0, got inf$"):
-            build_exponential_layer(3, math.inf)
+            rotation_angle(0, math.inf)
 
 
 class TestPruningPolicy:
@@ -387,7 +401,7 @@ class TestBuildGaussianPrep:
             policy = PruningPolicy(delta)
             for n in range(1, 65):
                 circuit = build_gaussian_prep(n, spec, policy)
-                expected = (build_exponential_layer(n, 2.5).gates + build_qft(n, policy).gates
+                expected = (exponential_layer(n, 2.5).gates + build_qft(n, policy).gates
                             + (x(n - 1),))
                 assert circuit.gates == expected, (n, delta)
 
@@ -423,9 +437,13 @@ class TestBuildersMakeCheckedGates:
     arguments."""
 
     def test_exponential_layer(self):
+        # the layer is the first n gates of the preparation circuit
         for n in range(1, 41):
             for beta in TRUSTED_BETAS:
-                assert_checked_gates(build_exponential_layer(n, beta))
+                circuit = build_gaussian_prep(n, GaussianSpec(), beta_override=beta)
+                layer = Circuit(n, circuit.gates[:n])
+                assert_checked_gates(layer)
+                assert layer.gates == exponential_layer(n, beta).gates
 
     def test_qft_pruned_at_every_distance(self):
         for n in range(1, 41):
@@ -445,7 +463,6 @@ class TestBuildersMakeCheckedGates:
     def test_numpy_qubit_count(self):
         # qubit indices derived from a numpy count are still Python ints
         n = np.int64(6)
-        assert_checked_gates(build_exponential_layer(n, 2.5))
         assert_checked_gates(build_qft(n))
         circuit = build_gaussian_prep(n, GaussianSpec())
         assert_checked_gates(circuit)

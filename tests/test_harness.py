@@ -205,6 +205,12 @@ class TestResolveBeta:
         with pytest.raises(ValueError):
             resolve_beta(4, 1.0, True)
 
+    @pytest.mark.parametrize("beta_mode", [True, None, [0.7]])
+    def test_a_mode_neither_string_nor_number_is_named(self, beta_mode):
+        with pytest.raises(ValueError) as raised:
+            resolve_beta(4, 1.0, beta_mode)
+        assert str(raised.value) == f"beta_mode must be a string or number, got {beta_mode!r}"
+
 
 class TestSweepConfig:
     def test_empty_grids_rejected(self):
@@ -372,6 +378,20 @@ class TestRunSweep:
             ("gaussian", gaussian_error), ("gaussian", gaussian_error),
             ("baseline", "decay_rate must be finite and >= 0, got -1.0"),
         ] * 2
+
+    def test_a_failed_cell_leaves_the_other_rows(self, monkeypatch):
+        real_circuit = harness.gaussian_circuit
+
+        def failing_circuit(n, beta, delta):
+            if delta == 0.1:
+                raise ValueError("no circuit\n  at 0.1")
+            return real_circuit(n, beta, delta)
+
+        monkeypatch.setattr(harness, "gaussian_circuit", failing_circuit)
+        rows = run_sweep(SweepConfig(n_values=(6,), delta_values=(0.0, 0.1, 0.2)))
+        assert [(row.delta, row.error) for row in rows] == [
+            (0.0, None), (0.1, "no circuit at 0.1"), (0.2, None)]
+        assert rows[1].gate_total is None and rows[2].pruned_count > 0
 
     def test_baseline_above_its_cap_is_an_error_row(self):
         rows = run_sweep(SweepConfig(n_values=(17,), delta_values=(0.0, 0.1),

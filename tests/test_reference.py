@@ -11,12 +11,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import literal_closed_form_probabilities, simulate
+from conftest import exponential_layer, literal_closed_form_probabilities, simulate
 from gaussprep import (
     Circuit,
     GaussianSpec,
     PruningPolicy,
-    build_exponential_layer,
     build_gaussian_prep,
     closed_form_probabilities,
     cosine_table,
@@ -159,7 +158,7 @@ class TestProductAmplitudesOracle:
 
     @pytest.mark.parametrize("n", [1, 3, 6, 10])
     def test_matches_simulated_exponential_layer(self, n):
-        state = simulate(build_exponential_layer(n, 2.5))
+        state = simulate(exponential_layer(n, 2.5))
         np.testing.assert_allclose(
             state.amplitudes, product_amplitudes_oracle(n, 2.5), atol=1e-12
         )
@@ -190,7 +189,7 @@ class TestDftOracle:
         alpha = product_amplitudes_oracle(n, 2.5)
         from gaussprep import build_qft
 
-        layer_plus_qft = Circuit(n, build_exponential_layer(n, 2.5).gates + build_qft(n).gates)
+        layer_plus_qft = Circuit(n, exponential_layer(n, 2.5).gates + build_qft(n).gates)
         state = simulate(layer_plus_qft)
         np.testing.assert_allclose(state.amplitudes, dft_oracle(alpha), atol=1e-10)
 

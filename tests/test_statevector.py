@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     circuit_matrix,
+    exponential_layer,
     literal_apply_gate,
     literal_write_ry_prefix,
     random_normalized_amplitudes,
@@ -25,7 +26,6 @@ from gaussprep import (
     GaussianSpec,
     StateVector,
     apply_circuit,
-    build_exponential_layer,
     build_qft,
     cphase,
     dft_oracle,
@@ -485,7 +485,7 @@ class TestPeakMemory:
     def test_exponential_layer_allocates_under_a_hundredth_of_a_state(self):
         # the layer is written in place, through views of the state
         n = 18
-        layer = build_exponential_layer(n, resolve_beta(n, 1.0, "heuristic"))
+        layer = exponential_layer(n, resolve_beta(n, 1.0, "heuristic"))
         state = new_zero_state(n)
         tracemalloc.start()
         try:
